@@ -16,6 +16,7 @@ from repro.cq.enumeration import (
 from repro.cq.evaluation import (
     compile_plan,
     evaluate,
+    evaluate_ghw,
     evaluate_unary,
     indicator,
     indicator_vector,
@@ -37,10 +38,7 @@ from repro.cq.plan import (
     QueryPlan,
     YannakakisPlan,
 )
-from repro.cq.structured_evaluation import (
-    evaluate_ghw,
-    evaluate_with_decomposition,
-)
+from repro.cq.structured_evaluation import evaluate_with_decomposition
 from repro.cq.query import CQ
 from repro.cq.terms import Atom, Variable
 

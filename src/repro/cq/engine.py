@@ -10,16 +10,18 @@ materialization (Section 3), QBE (Section 6), and GHW(k) classification
   occurrence sets, facts-by-relation maps), computed once per
   :class:`~repro.data.database.Database` instance and reused across all
   searches against it.
-- **Memoization.**  Pointed hom-check results are cached in a bounded LRU
-  keyed by ``(canonical database, target database, frozen fixed
-  assignment)``.  Keys hold the actual :class:`Database` objects, whose
-  value-based ``__eq__``/``__hash__`` make aliasing impossible: two
-  databases share an entry iff they have exactly the same facts (in which
-  case every check result coincides), and a hash collision between distinct
-  databases is resolved by equality like in any dict.  Databases are
-  immutable, so entries never go stale; derived databases are new objects
-  with new keys.  Whole query answers (``q(D)``) and cover-game results get
-  their own LRUs with the same key discipline.
+- **Memoization.**  Whole query answers (``q(D)``) are cached in a bounded
+  LRU keyed by ``(query, database)``, and every ``q(D)`` resolves along one
+  path: answer memo, warm-state store, vectorized sweep (numpy backend),
+  then the caller's compute step.  Single pointed hom checks are cached in
+  their own LRU keyed by ``(source database, target database, frozen fixed
+  assignment)``, and cover-game results in a third.  Keys hold the actual
+  :class:`Database` objects, whose value-based ``__eq__``/``__hash__`` make
+  aliasing impossible: two databases share an entry iff they have exactly
+  the same facts (in which case every result coincides), and a hash
+  collision between distinct databases is resolved by equality like in any
+  dict.  Databases are immutable, so entries never go stale; derived
+  databases are new objects with new keys.
 - **Batching.**  :meth:`evaluate_statistic` and :meth:`indicator_matrix`
   evaluate each feature query once per database and read vectors off the
   answer sets, instead of re-deriving candidates per ``selects`` call.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -85,6 +88,7 @@ __all__ = [
 ]
 
 Element = Any
+Rows = FrozenSet[Tuple[Element, ...]]
 
 DEFAULT_CACHE_SIZE = 4096
 
@@ -108,6 +112,12 @@ class CacheInfo(NamedTuple):
     currsize: int
     retained: int = 0
     invalidated: int = 0
+
+    @classmethod
+    def total(cls, infos: Iterable["CacheInfo"]) -> "CacheInfo":
+        """Field-wise sum of several caches' statistics."""
+        # The zero row keeps the sum of no caches well-formed.
+        return cls(*(sum(field) for field in zip(cls(0, 0, 0, 0), *infos)))
 
 
 class EngineCounters:
@@ -268,12 +278,6 @@ class EvaluationEngine:
         Maximum number of entries per internal cache (pointed hom checks,
         query answers, cover games, compiled plans).  Results are exact
         regardless of the size; a small cache only trades speed for memory.
-    use_plans:
-        When true (the default), ``selects``/``evaluate`` execute each
-        query's compiled :class:`~repro.cq.plan.HomomorphismProgram`
-        instead of re-analyzing the canonical database per check.  Turn
-        off to benchmark the unplanned search; results are identical
-        either way.
     backend:
         ``"python"`` (the default) keeps every evaluation on the pure
         reference hot path.  ``"numpy"`` opts into the vectorized bitset
@@ -303,7 +307,6 @@ class EvaluationEngine:
     def __init__(
         self,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        use_plans: bool = True,
         backend: str = "python",
         max_vector_cells: Optional[int] = None,
         store: Optional[Any] = None,
@@ -313,11 +316,14 @@ class EvaluationEngine:
                 f"unknown engine backend {backend!r}; "
                 f"choose one of {', '.join(BACKENDS)}"
             )
-        self._hom_cache = _LRUCache(cache_size)
-        self._answer_cache = _LRUCache(cache_size)
-        self._game_cache = _LRUCache(cache_size)
-        self._plan_cache = _LRUCache(cache_size)
-        self.use_plans = use_plans
+        self._caches = {
+            name: _LRUCache(cache_size)
+            for name in ("hom", "answers", "games", "plans")
+        }
+        self._hom_cache = self._caches["hom"]
+        self._answer_cache = self._caches["answers"]
+        self._game_cache = self._caches["games"]
+        self._plan_cache = self._caches["plans"]
         self.backend = backend
         if max_vector_cells is None:
             from repro.cq.vectorized import DEFAULT_MAX_CELLS
@@ -378,7 +384,7 @@ class EvaluationEngine:
 
     def _vectorized_answer(
         self, query: CQ, database: Database
-    ) -> Optional[FrozenSet[Tuple[Element, ...]]]:
+    ) -> Optional[Rows]:
         """``q(D)`` via the vectorized backend, or ``None`` on fallback."""
         from repro.cq.vectorized import VectorizedFallback
 
@@ -462,23 +468,6 @@ class EvaluationEngine:
         self._plan_cache.store(query, plan)
         return plan
 
-    def _load_stored_answer(
-        self, query: CQ, database: Database
-    ) -> Optional[FrozenSet[Tuple[Element, ...]]]:
-        """A persisted ``q(D)`` answer, or ``None`` (no store / miss)."""
-        if self.store is None:
-            return None
-        return self.store.load_answer(query, database)
-
-    def _persist_answer(
-        self,
-        query: CQ,
-        database: Database,
-        answer: FrozenSet[Tuple[Element, ...]],
-    ) -> None:
-        if self.store is not None:
-            self.store.save_answer(query, database, answer)
-
     # ------------------------------------------------------------------
     # Homomorphism checks
     # ------------------------------------------------------------------
@@ -492,11 +481,14 @@ class EvaluationEngine:
     ) -> bool:
         """Memoized ``source → target`` extending ``fixed``.
 
-        When a precompiled ``program`` (over ``source``, seeded with the
-        keys of ``fixed``) is given, a cache miss executes it instead of
-        the direct search — the decision is identical, only the per-check
-        query-side analysis is skipped and the search tree is pruned
-        through the target's ``facts_at`` index.
+        The hom memo holds single pointed checks like this one (from
+        :meth:`selects`, :meth:`pointed_has_homomorphism`, and direct
+        calls); the per-candidate checks inside a ``q(D)`` computation
+        bypass it.  When a precompiled ``program`` (over ``source``,
+        seeded with the keys of ``fixed``) is given, a cache miss executes
+        it instead of the direct search — the decision is identical, only
+        the per-check query-side analysis is skipped and the search tree
+        is pruned through the target's ``facts_at`` index.
         """
         frozen = frozenset(fixed.items()) if fixed else frozenset()
         key = (source, target, frozen)
@@ -574,53 +566,96 @@ class EvaluationEngine:
             candidate_sets.append(candidates)
         return candidate_sets
 
-    def evaluate(
-        self, query: CQ, database: Database
-    ) -> FrozenSet[Tuple[Element, ...]]:
+    def _resolve(
+        self,
+        queries: Sequence[CQ],
+        database: Database,
+        compute: Optional[Callable[[List[CQ]], Sequence[Rows]]],
+        sweep: bool = True,
+    ) -> List[Optional[Rows]]:
+        """``q(D)`` rows per query, along the engine's one resolution path.
+
+        Each distinct query takes the first step that answers it: the
+        answer memo, the warm-state store, a vectorized sweep (numpy
+        backend only), then ``compute``, which maps the queries still
+        pending to their rows.  Computed rows are memoized and persisted.
+        A query no step answers (no ``compute`` given) resolves to
+        ``None``.  ``sweep=False`` skips the sweep for a ``compute`` that
+        hands the queries to other engines, which sweep for themselves.
+        """
+        resolved: List[Optional[Rows]] = []
+        pending: Dict[CQ, None] = {}  # insertion-ordered set
+        for query in queries:
+            rows = self._answer_cache.lookup((query, database))
+            if rows is _LRUCache._MISSING:
+                rows = None
+                if self.store is not None and query not in pending:
+                    rows = self.store.load_answer(query, database)
+                if rows is None:
+                    pending[query] = None
+                else:
+                    self._answer_cache.store((query, database), rows)
+            resolved.append(rows)
+        if not pending:
+            return resolved
+        computed: Dict[CQ, Rows] = {}
+        if sweep and self.active_backend == "numpy":
+            for query in pending:
+                rows = self._vectorized_answer(query, database)
+                if rows is not None:
+                    computed[query] = rows
+        remaining = [query for query in pending if query not in computed]
+        if remaining and compute is not None:
+            computed.update(zip(remaining, compute(remaining)))
+        for query, rows in computed.items():
+            self._answer_cache.store((query, database), rows)
+            if self.store is not None:
+                self.store.save_answer(query, database, rows)
+        return [
+            computed.get(query) if rows is None else rows
+            for query, rows in zip(queries, resolved)
+        ]
+
+    def _backtrack(
+        self, database: Database, queries: Sequence[CQ]
+    ) -> List[Rows]:
+        """``q(D)`` per query, by its compiled backtracking program.
+
+        One run of the plan's :class:`~repro.cq.plan.HomomorphismProgram`
+        per candidate assignment of the free variables (candidates
+        pre-filtered through the database index).  The runs bypass the hom
+        memo: the answer memo already covers the whole ``q(D)``.
+        """
+        answers: List[Rows] = []
+        for query in queries:
+            candidate_sets = self._free_variable_candidates(query, database)
+            if not all(candidate_sets):
+                answers.append(frozenset())
+                continue
+            program = self.plan_for(query).program
+            free = query.free_variables
+            answers.append(
+                frozenset(
+                    values
+                    for values in itertools.product(*candidate_sets)
+                    if program.run(
+                        database, dict(zip(free, values)), self.counters.search
+                    )
+                )
+            )
+        return answers
+
+    def evaluate(self, query: CQ, database: Database) -> Rows:
         """``q(D)`` as a set of tuples, memoized per ``(query, database)``.
 
-        One memoized pointed check per candidate assignment of the free
-        variables; candidates are pre-filtered through the database index.
-        With a warm-state store, an LRU miss consults the persisted memo
-        before any computation, and every computed answer is persisted.
+        Computed by the query's compiled backtracking program.  With a
+        warm-state store, a memo miss consults the persisted answer before
+        any computation, and every computed answer is persisted.
         """
-        key = (query, database)
-        cached = self._answer_cache.lookup(key)
-        if cached is not _LRUCache._MISSING:
-            return cached
-        stored = self._load_stored_answer(query, database)
-        if stored is not None:
-            self._answer_cache.store(key, stored)
-            return stored
-
-        if self.active_backend == "numpy":
-            result = self._vectorized_answer(query, database)
-            if result is not None:
-                self._answer_cache.store(key, result)
-                self._persist_answer(query, database, result)
-                return result
-
-        candidate_sets = self._free_variable_candidates(query, database)
-        if any(not candidates for candidates in candidate_sets):
-            result: FrozenSet[Tuple[Element, ...]] = frozenset()
-            self._answer_cache.store(key, result)
-            self._persist_answer(query, database, result)
-            return result
-
-        canonical = query.canonical_database
-        free = query.free_variables
-        program = self.plan_for(query).program if self.use_plans else None
-        ordered = [sorted(candidates, key=repr) for candidates in candidate_sets]
-        results: Set[Tuple[Element, ...]] = set()
-        for values in itertools.product(*ordered):
-            if self.has_homomorphism(
-                canonical, database, dict(zip(free, values)), program
-            ):
-                results.add(values)
-        result = frozenset(results)
-        self._answer_cache.store(key, result)
-        self._persist_answer(query, database, result)
-        return result
+        (rows,) = self._resolve(
+            (query,), database, partial(self._backtrack, database)
+        )
+        return rows
 
     def evaluate_unary(
         self, query: CQ, database: Database
@@ -640,41 +675,25 @@ class EvaluationEngine:
         answers share the same memo as :meth:`evaluate`, which is sound
         because the single-pass plan is differentially verified to agree
         with the backtracking path.  Raises
-        :class:`~repro.exceptions.DecompositionError` if ``ghw(q) > k``,
-        like the uncached reference
-        :func:`repro.cq.structured_evaluation.evaluate_ghw`.
+        :class:`~repro.exceptions.DecompositionError` if ``ghw(q) > k``.
         """
         if not query.is_unary:
             raise QueryError("structured evaluation requires a unary CQ")
         structured = self.plan_for(query).structured(k)
         if structured is None:
             raise DecompositionError(f"query has ghw > {k}")
-        key = (query, database)
-        cached = self._answer_cache.lookup(key)
-        if cached is not _LRUCache._MISSING:
-            return frozenset(row[0] for row in cached)
-        stored = self._load_stored_answer(query, database)
-        if stored is not None:
-            self._answer_cache.store(key, stored)
-            return frozenset(row[0] for row in stored)
-        if self.active_backend == "numpy":
-            # Same answer memo as evaluate(): the vectorized sweep is
-            # differentially verified against both reference paths.
-            result = self._vectorized_answer(query, database)
-            if result is not None:
-                self._answer_cache.store(key, result)
-                self._persist_answer(query, database, result)
-                return frozenset(row[0] for row in result)
-        answer = structured.evaluate(database, self.plan_counters)
-        rows = frozenset((element,) for element in answer)
-        self._answer_cache.store(key, rows)
-        self._persist_answer(query, database, rows)
-        return answer
+
+        def single_pass(_: List[CQ]) -> List[Rows]:
+            answer = structured.evaluate(database, self.plan_counters)
+            return [frozenset((element,) for element in answer)]
+
+        (rows,) = self._resolve((query,), database, single_pass)
+        return frozenset(row[0] for row in rows)
 
     def selects(self, query: CQ, database: Database, element: Element) -> bool:
         """Whether ``element ∈ q(D)``, by one memoized pointed check.
 
-        On the numpy backend the whole answer set is computed (and
+        On the numpy backend the whole answer set is resolved (and
         memoized) in one vectorized sweep instead — repeated ``selects``
         over the same pair then amortize to cache lookups, which is the
         access pattern of every indicator-matrix fill.
@@ -682,25 +701,14 @@ class EvaluationEngine:
         if not query.is_unary:
             raise QueryError("selects requires a unary CQ")
         if self.active_backend == "numpy":
-            key = (query, database)
-            cached = self._answer_cache.lookup(key)
-            if cached is not _LRUCache._MISSING:
-                return (element,) in cached
-            stored = self._load_stored_answer(query, database)
-            if stored is not None:
-                self._answer_cache.store(key, stored)
-                return (element,) in stored
-            result = self._vectorized_answer(query, database)
-            if result is not None:
-                self._answer_cache.store(key, result)
-                self._persist_answer(query, database, result)
-                return (element,) in result
-        program = self.plan_for(query).program if self.use_plans else None
+            (rows,) = self._resolve((query,), database, None)
+            if rows is not None:
+                return (element,) in rows
         return self.has_homomorphism(
             query.canonical_database,
             database,
             {query.free_variable: element},
-            program,
+            self.plan_for(query).program,
         )
 
     def indicator(
@@ -729,54 +737,48 @@ class EvaluationEngine:
     ) -> List[FrozenSet[Element]]:
         """Answer sets for a batch of unary queries, optionally sharded.
 
-        With a multi-worker executor, queries missing from the answer cache
-        are dispatched as shards to worker processes (each running the same
-        pure :meth:`evaluate_unary` on its own engine), merged back in query
-        order, and stored into this engine's cache — so parallel results are
-        bit-identical to serial ones and later serial calls stay warm.
+        The batch resolves in one pass.  Its compute step is the compiled
+        backtracking program, or — with a multi-worker executor — shards
+        dispatched to worker processes (each running the same pure
+        :meth:`evaluate_unary` on its own engine), merged back in query
+        order and memoized here, so parallel results are bit-identical to
+        serial ones and later serial calls stay warm.
         """
-        if executor is None or executor.workers <= 1 or len(queries) <= 1:
-            return [self.evaluate_unary(query, database) for query in queries]
         for query in queries:
             if not query.is_unary:
                 raise QueryError("evaluate_unary requires a unary CQ")
+        if executor is None or executor.workers <= 1 or len(queries) <= 1:
+            resolved = self._resolve(
+                queries, database, partial(self._backtrack, database)
+            )
+        else:
+            resolved = self._resolve(
+                queries,
+                database,
+                partial(self._dispatch, executor, database),
+                sweep=False,
+            )
+        return [frozenset(row[0] for row in rows) for rows in resolved]
+
+    def _dispatch(
+        self, executor: "Executor", database: Database, queries: List[CQ]
+    ) -> List[Rows]:
+        """``q(D)`` per unary query, computed by the executor's workers."""
         # Local import: repro.runtime imports this module at load time.
         from repro.runtime.tasks import evaluate_unary_queries
 
-        answers: Dict[CQ, FrozenSet[Element]] = {}
-        pending: List[CQ] = []
-        for query in queries:
-            cached = self._answer_cache.lookup((query, database))
-            if cached is _LRUCache._MISSING:
-                if query in answers:
-                    continue
-                stored = self._load_stored_answer(query, database)
-                if stored is not None:
-                    self._answer_cache.store((query, database), stored)
-                    answers[query] = frozenset(row[0] for row in stored)
-                else:
-                    answers[query] = frozenset()  # placeholder, filled below
-                    pending.append(query)
-            else:
-                answers[query] = frozenset(
-                    row[0] for row in cached
-                )
-        if pending:
-            # Broadcast the shared target database once (digest-keyed):
-            # shard payloads carry a tiny ref, workers resolve it from
-            # their resident cache, and only the query chunks ship.
-            target = executor.broadcast(database)
-            evaluated = executor.run(
-                evaluate_unary_queries,
-                pending,
-                lambda chunk: (tuple(chunk), target),
-            )
-            for query, answer in zip(pending, evaluated):
-                answers[query] = answer
-                rows = frozenset((element,) for element in answer)
-                self._answer_cache.store((query, database), rows)
-                self._persist_answer(query, database, rows)
-        return [answers[query] for query in queries]
+        # Broadcast the shared target database once (digest-keyed): shard
+        # payloads carry a tiny ref, workers resolve it from their resident
+        # cache, and only the query chunks ship.
+        target = executor.broadcast(database)
+        answers = executor.run(
+            evaluate_unary_queries,
+            queries,
+            lambda chunk: (tuple(chunk), target),
+        )
+        return [
+            frozenset((element,) for element in answer) for answer in answers
+        ]
 
     def indicator_matrix(
         self,
@@ -942,36 +944,16 @@ class EvaluationEngine:
 
     def cache_info(self) -> CacheInfo:
         """Aggregated statistics over all internal caches."""
-        infos = [
-            self._hom_cache.info(),
-            self._answer_cache.info(),
-            self._game_cache.info(),
-            self._plan_cache.info(),
-        ]
-        return CacheInfo(
-            hits=sum(info.hits for info in infos),
-            misses=sum(info.misses for info in infos),
-            maxsize=sum(info.maxsize for info in infos),
-            currsize=sum(info.currsize for info in infos),
-            retained=sum(info.retained for info in infos),
-            invalidated=sum(info.invalidated for info in infos),
-        )
+        return CacheInfo.total(self.cache_details().values())
 
     def cache_details(self) -> Dict[str, CacheInfo]:
         """Per-cache statistics keyed by cache name."""
-        return {
-            "hom": self._hom_cache.info(),
-            "answers": self._answer_cache.info(),
-            "games": self._game_cache.info(),
-            "plans": self._plan_cache.info(),
-        }
+        return {name: cache.info() for name, cache in self._caches.items()}
 
     def clear(self) -> None:
         """Drop all cached results (and their hit/miss tallies)."""
-        self._hom_cache.clear()
-        self._answer_cache.clear()
-        self._game_cache.clear()
-        self._plan_cache.clear()
+        for cache in self._caches.values():
+            cache.clear()
         self._plan_counters = None
 
     def work_snapshot(self) -> Dict[str, int]:

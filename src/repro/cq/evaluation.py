@@ -6,10 +6,11 @@ function* ``1_{q(D)} : η(D) → {1, -1}`` of the paper is provided directly.
 
 These module-level functions are thin compatible wrappers over the
 process-wide :class:`~repro.cq.engine.EvaluationEngine`, which attaches a
-lazily-built index to each database and memoizes pointed homomorphism
-checks; pass ``engine=`` to use a private engine (e.g. with its own cache
-bounds).  The uncached reference implementations live in
-:mod:`repro.cq.naive`.
+lazily-built index to each database and memoizes query answers and
+pointed homomorphism checks; pass ``engine=`` to use a private engine
+(e.g. with its own cache bounds).  The uncached reference implementations
+live in :mod:`repro.cq.naive` (and, for bounded ghw,
+:mod:`repro.cq.structured_evaluation`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 __all__ = [
     "evaluate",
     "evaluate_unary",
+    "evaluate_ghw",
     "selects",
     "indicator",
     "indicator_vector",
@@ -42,10 +44,10 @@ def evaluate(
 ) -> FrozenSet[Tuple[Element, ...]]:
     """``q(D)`` as a set of tuples over ``dom(D)``.
 
-    Implemented as one memoized pointed homomorphism check per candidate
-    assignment of the free variables; candidates are pre-filtered by the
-    database's positional-occurrence index, so unary feature queries only
-    ever test entities.
+    Implemented as one pointed homomorphism check per candidate
+    assignment of the free variables, memoized as a whole answer;
+    candidates are pre-filtered by the database's positional-occurrence
+    index, so unary feature queries only ever test entities.
     """
     return (engine or default_engine()).evaluate(query, database)
 
@@ -57,6 +59,19 @@ def evaluate_unary(
 ) -> FrozenSet[Element]:
     """``q(D)`` for a unary query, as a set of elements (paper convention)."""
     return (engine or default_engine()).evaluate_unary(query, database)
+
+
+def evaluate_ghw(
+    query: CQ,
+    database: Database,
+    k: int,
+    engine: Optional[EvaluationEngine] = None,
+) -> FrozenSet[Element]:
+    """``q(D)`` for a unary query of ghw ≤ k, by its single-pass plan.
+
+    Raises :class:`~repro.exceptions.DecompositionError` if ``ghw(q) > k``.
+    """
+    return (engine or default_engine()).evaluate_ghw(query, database, k)
 
 
 def selects(

@@ -27,9 +27,8 @@ from repro.cq.terms import Atom, Variable
 from repro.data.database import Database
 from repro.exceptions import DecompositionError, QueryError
 from repro.hypergraph.decomposition import TreeDecomposition
-from repro.hypergraph.ghw import decompose
 
-__all__ = ["evaluate_with_decomposition", "evaluate_ghw"]
+__all__ = ["evaluate_with_decomposition"]
 
 Element = object
 _Row = Tuple  # binding tuple over a bag's column order
@@ -247,17 +246,3 @@ def evaluate_with_decomposition(
         if alive and relations[order[0]][1]:
             answers.add(value)
     return frozenset(answers)
-
-
-def evaluate_ghw(
-    query: CQ, database: Database, k: int
-) -> FrozenSet[Element]:
-    """Decompose (must have ghw ≤ k) and evaluate via the decomposition.
-
-    Uncached per-candidate reference path; the compiled, memoized
-    equivalent is :meth:`repro.cq.engine.EvaluationEngine.evaluate_ghw`.
-    """
-    decomposition = decompose(query, k)
-    if decomposition is None:
-        raise DecompositionError(f"query has ghw > {k}")
-    return evaluate_with_decomposition(query, decomposition, database)

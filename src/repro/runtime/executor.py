@@ -172,15 +172,7 @@ class Executor:
         process (workers never share cache entries, so the sum is exact).
         """
         with self._accounting_lock:
-            infos = list(self._worker_caches.values())
-        return CacheInfo(
-            hits=sum(info.hits for info in infos),
-            misses=sum(info.misses for info in infos),
-            maxsize=sum(info.maxsize for info in infos),
-            currsize=sum(info.currsize for info in infos),
-            retained=sum(info.retained for info in infos),
-            invalidated=sum(info.invalidated for info in infos),
-        )
+            return CacheInfo.total(self._worker_caches.values())
 
     # ------------------------------------------------------------------
 

@@ -167,20 +167,16 @@ def classify_databases(payload: Payload) -> Tuple[Tuple[str, Any], ...]:
 
     Payload: ``(model, databases)`` where ``model`` is — or resolves to,
     when it arrives as a broadcast ref keyed by the artifact checksum —
-    the triple ``(queries, weights, threshold)``; the legacy flat
-    ``(queries, weights, threshold, databases)`` shape is still accepted.
-    Returns one ``("ok", {entity: label})`` or ``("error", message)``
-    outcome per database, in shard order — the unit of work behind
+    the triple ``(queries, weights, threshold)``.  Returns one
+    ``("ok", {entity: label})`` or ``("error", message)`` outcome per
+    database, in shard order — the unit of work behind
     :meth:`repro.serve.InferenceService.predict_batch`.  Per-database
     errors are captured as data (rather than raised) so one malformed
     request cannot poison the whole shard; the service decides whether to
     fail or abstain.
     """
-    if len(payload) == 2:
-        model, databases = payload
-        queries, weights, threshold = resolve(model)
-    else:
-        queries, weights, threshold, databases = payload
+    model, databases = payload
+    queries, weights, threshold = resolve(model)
     from repro.exceptions import ReproError
     from repro.linsep.classifier import LinearClassifier
 

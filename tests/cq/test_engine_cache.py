@@ -1,6 +1,7 @@
 """Cache correctness for the EvaluationEngine.
 
-Covers: hit/miss accounting of ``cache_info()``, freshness across new
+Covers: hit/miss accounting of ``cache_info()``, which cache a ``q(D)``
+fill and a single pointed check each land in, freshness across new
 ``Database`` objects, hash-collision non-aliasing, bounded LRU eviction,
 and ``clear()``.
 """
@@ -14,6 +15,8 @@ from repro.cq.engine import (
     default_engine,
     set_default_engine,
 )
+from repro.cq.homomorphism import SearchCounters
+from repro.cq.naive import naive_evaluate_unary
 from repro.cq.parser import parse_cq
 from repro.data import Database
 
@@ -56,6 +59,28 @@ class TestCacheInfoAccounting:
     def test_cache_details_names_all_caches(self):
         details = EvaluationEngine().cache_details()
         assert set(details) == {"hom", "answers", "games", "plans"}
+
+    @pytest.mark.parametrize("fill", ["evaluate_unary", "indicator_matrix"])
+    def test_query_answers_bypass_the_hom_cache(self, fill, query, database):
+        engine = EvaluationEngine()
+        if fill == "evaluate_unary":
+            engine.evaluate_unary(query, database)
+        else:
+            engine.indicator_matrix([query], database, ["a", "c"])
+        assert engine.cache_details()["hom"].currsize == 0
+        oracle = SearchCounters()
+        naive_evaluate_unary(query, database, oracle)
+        assert engine.counters.hom_checks == oracle.hom_checks > 0
+
+    def test_repeated_selects_is_a_hom_cache_hit(self, query, database):
+        engine = EvaluationEngine(backend="python")
+        assert engine.selects(query, database, "a")
+        hom = engine.cache_details()["hom"]
+        assert (hom.hits, hom.misses, hom.currsize) == (0, 1, 1)
+        checks = engine.counters.hom_checks
+        assert engine.selects(query, database, "a")
+        assert engine.cache_details()["hom"].hits == 1
+        assert engine.counters.hom_checks == checks
 
     def test_work_snapshot_keys(self, query, database):
         engine = EvaluationEngine()

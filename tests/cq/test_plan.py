@@ -9,10 +9,7 @@ from repro.cq.homomorphism import SearchCounters
 from repro.cq.naive import naive_evaluate_unary
 from repro.cq.parser import parse_cq
 from repro.cq.plan import HomomorphismProgram, PlanCounters, QueryPlan
-from repro.cq.structured_evaluation import (
-    evaluate_ghw as reference_evaluate_ghw,
-    evaluate_with_decomposition,
-)
+from repro.cq.structured_evaluation import evaluate_with_decomposition
 from repro.data import Database, Fact
 from repro.exceptions import DatabaseError, DecompositionError, QueryError
 from repro.hypergraph.ghw import decompose
@@ -78,15 +75,14 @@ class TestHomomorphismProgram:
 
     def test_strictly_fewer_backtrack_nodes(self, graph_database):
         query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z), E(z, w)")
-        planned = EvaluationEngine(use_plans=True)
-        unplanned = EvaluationEngine(use_plans=False)
+        planned = EvaluationEngine()
+        unplanned = SearchCounters()
         answer = planned.evaluate_unary(query, graph_database)
-        assert answer == unplanned.evaluate_unary(query, graph_database)
-        assert (
-            planned.counters.backtrack_nodes
-            < unplanned.counters.backtrack_nodes
+        assert answer == naive_evaluate_unary(
+            query, graph_database, unplanned
         )
-        assert planned.counters.hom_checks == unplanned.counters.hom_checks
+        assert planned.counters.backtrack_nodes < unplanned.backtrack_nodes
+        assert planned.counters.hom_checks == unplanned.hom_checks
 
     def test_missing_relation_in_target(self):
         query = parse_cq("q(x) :- eta(x), F(x, x)")
@@ -259,15 +255,6 @@ class TestEnginePlanCache:
         engine.evaluate_unary(query, after)
         assert engine.cache_details()["plans"].misses == before_info.misses
 
-    def test_use_plans_false_matches(self, graph_database):
-        query = parse_cq("q(x) :- eta(x), E(x, y), E(z, y)")
-        planned = EvaluationEngine(use_plans=True)
-        unplanned = EvaluationEngine(use_plans=False)
-        assert planned.evaluate_unary(query, graph_database) == (
-            unplanned.evaluate_unary(query, graph_database)
-        )
-        assert unplanned.cache_details()["plans"].misses == 0
-
     def test_clear_drops_plans(self, graph_database):
         query = parse_cq("q(x) :- eta(x), E(x, y)")
         engine = EvaluationEngine()
@@ -281,7 +268,9 @@ class TestEngineEvaluateGhw:
         query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z)")
         engine = EvaluationEngine()
         answer = engine.evaluate_ghw(query, graph_database, 1)
-        assert answer == reference_evaluate_ghw(query, graph_database, 1)
+        assert answer == evaluate_with_decomposition(
+            query, decompose(query, 1), graph_database
+        )
         # Second call answers from the shared answer cache.
         evaluations = engine.plan_counters.evaluations
         assert engine.evaluate_ghw(query, graph_database, 1) == answer
@@ -290,6 +279,16 @@ class TestEngineEvaluateGhw:
         nodes = engine.counters.backtrack_nodes
         assert engine.evaluate_unary(query, graph_database) == answer
         assert engine.counters.backtrack_nodes == nodes
+
+    def test_module_wrapper_runs_on_the_given_engine(self, graph_database):
+        from repro.cq import evaluate_ghw
+
+        query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z)")
+        engine = EvaluationEngine()
+        answer = evaluate_ghw(query, graph_database, 1, engine=engine)
+        assert engine.plan_counters.evaluations == 1
+        assert engine.evaluate_ghw(query, graph_database, 1) == answer
+        assert engine.plan_counters.evaluations == 1
 
     def test_width_guard(self, graph_database):
         query = parse_cq("q(x) :- eta(x), E(a, b), E(b, c), E(c, a)")

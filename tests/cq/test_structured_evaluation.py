@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cq.evaluation import evaluate_unary
+from repro.cq.evaluation import evaluate_ghw, evaluate_unary
 from repro.cq.parser import parse_cq
-from repro.cq.structured_evaluation import (
-    evaluate_ghw,
-    evaluate_with_decomposition,
-)
+from repro.cq.structured_evaluation import evaluate_with_decomposition
 from repro.data import Database
 from repro.exceptions import DecompositionError, QueryError
 from repro.hypergraph.ghw import decompose
+
+
+def reference_ghw(query, database, k):
+    """The per-candidate reference over a width-``k`` decomposition."""
+    return evaluate_with_decomposition(query, decompose(query, k), database)
 
 
 @pytest.fixture
@@ -47,7 +49,7 @@ class TestAgainstBacktracking:
     @pytest.mark.parametrize("rule", QUERIES)
     def test_ghw1_matches(self, rule, graph_database):
         query = parse_cq(rule)
-        structured = evaluate_ghw(query, graph_database, 2)
+        structured = reference_ghw(query, graph_database, 2)
         backtracking = evaluate_unary(query, graph_database)
         assert structured == backtracking
 
@@ -55,13 +57,13 @@ class TestAgainstBacktracking:
         query = parse_cq(
             "q(x) :- eta(x), E(a, b), E(b, c), E(c, a)"
         )
-        structured = evaluate_ghw(query, graph_database, 2)
+        structured = reference_ghw(query, graph_database, 2)
         assert structured == evaluate_unary(query, graph_database)
 
     def test_empty_answer(self, graph_database):
         query = parse_cq("q(x) :- eta(x), F(x, x)")
         # F does not exist: ghw evaluation must agree (empty).
-        assert evaluate_ghw(query, graph_database, 1) == frozenset()
+        assert reference_ghw(query, graph_database, 1) == frozenset()
 
 
 class TestValidation:
@@ -84,6 +86,7 @@ class TestValidation:
 
     def test_width_guard(self, graph_database):
         query = parse_cq("q(x) :- eta(x), E(a, b), E(b, c), E(c, a)")
+        assert decompose(query, 1) is None
         with pytest.raises(DecompositionError):
             evaluate_ghw(query, graph_database, 1)
 
@@ -119,5 +122,6 @@ class TestRandomizedDifferential:
                 )
                 atoms.append(Atom("E", pair))
             query = CQ(atoms, (x,))
-            structured = evaluate_ghw(query, database, 1)
+            structured = reference_ghw(query, database, 1)
             assert structured == evaluate_unary(query, database), query
+            assert evaluate_ghw(query, database, 1) == structured, query

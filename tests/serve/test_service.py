@@ -162,14 +162,12 @@ class TestDegradation:
         initialize_worker()
         pair = retail_session.materialize()
         bad_weights = pair.classifier.weights + (1.0,)
-        outcomes = classify_databases(
-            (
-                pair.statistic.queries,
-                bad_weights,
-                pair.classifier.threshold,
-                (retail_evals[0],),
-            )
+        model = (
+            pair.statistic.queries,
+            bad_weights,
+            pair.classifier.threshold,
         )
+        outcomes = classify_databases((model, (retail_evals[0],)))
         assert len(outcomes) == 1
         status, message = outcomes[0]
         assert status == "error"
