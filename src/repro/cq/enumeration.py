@@ -6,9 +6,15 @@ each variable to at most ``p`` occurrences across those atoms.  For a fixed
 schema the class is finite up to renaming of existential variables, which is
 what makes Prop 4.1's all-features statistic computable.
 
-Enumeration proceeds atom by atom with canonical introduction of new
-variables and deduplicates through :meth:`repro.cq.query.CQ.canonical_form`
-(isomorphism level) or cores + canonical forms (equivalence level).
+Both public enumerations run one depth-first search.  It grows atom lists
+atom by atom, introducing new variables canonically, and deduplicates the
+queries they make through :meth:`repro.cq.query.CQ.canonical_form`
+(isomorphism level) or cores + canonical forms (equivalence level).  The
+search skips an atom list, and its whole subtree, when it has already
+visited an isomorphic list of the same length (the free variable held
+fixed): in preorder the earlier list's subtree is finished by then and
+mirrors the later one's, so the skipped subtree holds no new query and the
+output, order included, is what the unpruned search returns.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.cq.core import core_of
 from repro.cq.query import CQ
 from repro.cq.terms import Atom, Variable
-from repro.data.schema import ENTITY_SYMBOL, Schema
+from repro.data.schema import ENTITY_SYMBOL, EntitySchema, Schema
 from repro.exceptions import QueryError
 
 __all__ = [
@@ -75,39 +81,21 @@ def _max_occurrences(atoms: Sequence[Atom]) -> int:
     return max(counts.values(), default=0)
 
 
-def enumerate_feature_queries(
+def _enumerate(
     schema: Schema,
     max_atoms: int,
-    max_occurrences: Optional[int] = None,
-    free_variable: Variable = Variable("x"),
-    entity_symbol: str = ENTITY_SYMBOL,
-    dedupe: str = "equivalence",
+    max_occurrences: Optional[int],
+    free_variable: Variable,
+    dedupe: str,
+    entity_symbol: Optional[str],
 ) -> List[CQ]:
-    """All feature queries of ``CQ[m]`` (or ``CQ[m, p]``) over a schema.
+    """The depth-first search behind both public enumerations.
 
-    Parameters
-    ----------
-    schema:
-        The schema whose relation symbols may appear in atom bodies.  The
-        entity symbol is usable in the body like any other unary relation.
-    max_atoms:
-        The bound ``m`` on body atoms (the entity atom ``η(x)`` is free).
-    max_occurrences:
-        Optional bound ``p`` of ``CQ[m, p]`` on per-variable occurrences
-        across the body atoms (the implicit ``η(x)`` does not count).
-    dedupe:
-        ``"isomorphism"`` deduplicates up to renaming of existential
-        variables; ``"equivalence"`` (default) additionally reduces every
-        query to its core and deduplicates semantically equivalent queries.
-
-    Returns
-    -------
-    list[CQ]
-        Feature queries in a deterministic order, each containing ``η(x)``.
-        The trivial query ``q(x) :- η(x)`` is always first.
+    With an ``entity_symbol``, every atom list, the empty one included, is
+    the body of the feature query ``CQ.feature(atoms)``.  Without one, a
+    nonempty list is a unary CQ when the free variable occurs in it, and
+    yields no query otherwise.
     """
-    if max_atoms < 0:
-        raise QueryError("max_atoms must be nonnegative")
     if max_occurrences is not None and max_occurrences < 1:
         raise QueryError("max_occurrences must be positive when given")
     if dedupe not in ("isomorphism", "equivalence"):
@@ -116,9 +104,23 @@ def enumerate_feature_queries(
     relations = sorted(schema, key=lambda symbol: (symbol.name, symbol.arity))
     results: List[CQ] = []
     seen: Set[Tuple] = set()
+    # The canonical forms of the visited atom lists, one set per list
+    # length, as repr strings: smaller than the nested tuples.
+    visited: List[Set[str]] = [set() for _ in range(max_atoms + 1)]
 
-    def register(atoms: Tuple[Atom, ...]) -> None:
-        query = CQ.feature(atoms, free_variable, entity_symbol)
+    def first_visit(length: int, query: CQ) -> bool:
+        try:
+            key = repr(query.canonical_form())
+        except QueryError:
+            # Over canonical_form's guard on existential variables, which
+            # only the core of a list must meet: visit it unpruned.
+            return True
+        if key in visited[length]:
+            return False
+        visited[length].add(key)
+        return True
+
+    def register(query: CQ) -> None:
         if dedupe == "equivalence":
             query = core_of(query)
         form = query.canonical_form()
@@ -128,7 +130,20 @@ def enumerate_feature_queries(
         results.append(query.standardized())
 
     def grow(atoms: List[Atom], fresh_count: int) -> None:
-        register(tuple(atoms))
+        query: Optional[CQ] = None
+        if entity_symbol is not None:
+            query = CQ.feature(atoms, free_variable, entity_symbol)
+        elif any(free_variable in atom.arguments for atom in atoms):
+            query = CQ(atoms, (free_variable,))
+        key = query
+        if key is None and atoms:
+            # A list without the free variable is keyed as a Boolean CQ,
+            # whose form never equals that of a list with it.
+            key = CQ(atoms, ())
+        if key is not None and not first_visit(len(atoms), key):
+            return
+        if query is not None:
+            register(query)
         if len(atoms) == max_atoms:
             return
         used_variables: List[Variable] = [free_variable]
@@ -158,6 +173,59 @@ def enumerate_feature_queries(
 
     grow([], 0)
     return results
+
+
+def enumerate_feature_queries(
+    schema: Schema,
+    max_atoms: int,
+    max_occurrences: Optional[int] = None,
+    free_variable: Variable = Variable("x"),
+    entity_symbol: Optional[str] = None,
+    dedupe: str = "equivalence",
+) -> List[CQ]:
+    """All feature queries of ``CQ[m]`` (or ``CQ[m, p]``) over a schema.
+
+    Parameters
+    ----------
+    schema:
+        The schema whose relation symbols may appear in atom bodies.  The
+        entity symbol is usable in the body like any other unary relation.
+    max_atoms:
+        The bound ``m`` on body atoms (the entity atom ``η(x)`` is free).
+    max_occurrences:
+        Optional bound ``p`` of ``CQ[m, p]`` on per-variable occurrences
+        across the body atoms (the implicit ``η(x)`` does not count).
+    entity_symbol:
+        The relation of the entity atom; defaults to the schema's entity
+        symbol when it is an :class:`~repro.data.schema.EntitySchema`, and
+        to :data:`~repro.data.schema.ENTITY_SYMBOL` otherwise.
+    dedupe:
+        ``"isomorphism"`` deduplicates up to renaming of existential
+        variables; ``"equivalence"`` (default) additionally reduces every
+        query to its core and deduplicates semantically equivalent queries.
+
+    Returns
+    -------
+    list[CQ]
+        Feature queries in a deterministic order, each containing ``η(x)``.
+        The trivial query ``q(x) :- η(x)`` is always first.
+    """
+    if max_atoms < 0:
+        raise QueryError("max_atoms must be nonnegative")
+    if entity_symbol is None:
+        entity_symbol = (
+            schema.entity_symbol
+            if isinstance(schema, EntitySchema)
+            else ENTITY_SYMBOL
+        )
+    return _enumerate(
+        schema,
+        max_atoms,
+        max_occurrences,
+        free_variable,
+        dedupe,
+        entity_symbol,
+    )
 
 
 def enumerate_unary_queries(
@@ -176,59 +244,9 @@ def enumerate_unary_queries(
     """
     if max_atoms < 1:
         raise QueryError("enumerate_unary_queries requires max_atoms >= 1")
-    if max_occurrences is not None and max_occurrences < 1:
-        raise QueryError("max_occurrences must be positive when given")
-    if dedupe not in ("isomorphism", "equivalence"):
-        raise QueryError(f"unknown dedupe mode {dedupe!r}")
-
-    relations = sorted(schema, key=lambda symbol: (symbol.name, symbol.arity))
-    results: List[CQ] = []
-    seen: Set[Tuple] = set()
-
-    def register(atoms: Tuple[Atom, ...]) -> None:
-        if not any(free_variable in atom.arguments for atom in atoms):
-            return
-        query = CQ(atoms, (free_variable,))
-        if dedupe == "equivalence":
-            query = core_of(query)
-        form = query.canonical_form()
-        if form in seen:
-            return
-        seen.add(form)
-        results.append(query.standardized())
-
-    def grow(atoms: List[Atom], fresh_count: int) -> None:
-        if atoms:
-            register(tuple(atoms))
-        if len(atoms) == max_atoms:
-            return
-        used_variables: List[Variable] = [free_variable]
-        for atom in atoms:
-            for variable in atom.arguments:
-                if variable not in used_variables:
-                    used_variables.append(variable)
-        for symbol in relations:
-            for arguments in _argument_tuples(
-                symbol.arity, used_variables, fresh_count
-            ):
-                candidate = Atom(symbol.name, arguments)
-                if candidate in atoms:
-                    continue
-                atoms.append(candidate)
-                if (
-                    max_occurrences is None
-                    or _max_occurrences(atoms) <= max_occurrences
-                ):
-                    new_fresh = sum(
-                        1
-                        for variable in set(arguments)
-                        if variable not in used_variables
-                    )
-                    grow(atoms, fresh_count + new_fresh)
-                atoms.pop()
-
-    grow([], 0)
-    return results
+    return _enumerate(
+        schema, max_atoms, max_occurrences, free_variable, dedupe, None
+    )
 
 
 def count_feature_queries(

@@ -272,23 +272,51 @@ class CQ:
     def canonical_form(self) -> Tuple:
         """A hashable form invariant under renaming of existential variables.
 
-        Computed by brute-force minimization over orderings of the
-        existential variables; intended for small queries (the enumeration
-        use case, Section 4).  Two CQs have the same canonical form iff they
-        are equal up to renaming of existential variables.
+        Two CQs have the same canonical form iff they are equal up to a
+        renaming of existential variables (free variables held fixed).  The
+        form is the least sorted atom tuple over namings that number the
+        existential variables class by class.  A variable's class is its
+        *occurrence signature*: the sorted (relation, position, pattern)
+        triples of its occurrences, where an atom's pattern writes each
+        argument as its free-variable index or as its first position in
+        the atom.  A renaming preserves signatures, so only orderings
+        within a class are tried, and in the small queries of the
+        enumeration use case (Section 4) most classes are singletons.
+        Limited to 8 existential variables.
         """
-        existentials = sorted(self.existential_variables)
-        free_index = {v: ("F", i) for i, v in enumerate(self._free)}
+        free_index = {v: -1 - i for i, v in enumerate(self._free)}
+        existentials = self.existential_variables
         if len(existentials) > 8:
             raise QueryError(
                 "canonical_form is brute-force and limited to 8 existential "
                 f"variables, got {len(existentials)}"
             )
+        occurrences: Dict[Variable, List[Tuple]] = {
+            variable: [] for variable in existentials
+        }
+        for atom in self._atoms:
+            arguments = atom.arguments
+            pattern = tuple(
+                free_index.get(v, arguments.index(v)) for v in arguments
+            )
+            for position, variable in enumerate(arguments):
+                if variable in occurrences:
+                    occurrences[variable].append(
+                        (atom.relation, position, pattern)
+                    )
+        classes: Dict[Tuple, List[Variable]] = {}
+        for variable, triples in occurrences.items():
+            classes.setdefault(tuple(sorted(triples)), []).append(variable)
+        orderings = itertools.product(
+            *(itertools.permutations(classes[key]) for key in sorted(classes))
+        )
         best: Optional[Tuple] = None
-        for permutation in itertools.permutations(range(len(existentials))):
+        for ordering in orderings:
             naming = dict(free_index)
-            for position, variable in zip(permutation, existentials):
-                naming[variable] = ("E", position)
+            for index, variable in enumerate(
+                itertools.chain.from_iterable(ordering)
+            ):
+                naming[variable] = index
             form = tuple(
                 sorted(
                     (atom.relation, tuple(naming[v] for v in atom.arguments))

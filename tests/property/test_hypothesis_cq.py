@@ -13,7 +13,9 @@ from repro.cq.homomorphism import (
     has_homomorphism,
     is_homomorphism,
 )
+from repro.cq.terms import Variable
 from repro.data import Database, Fact
+from repro.fo.isomorphism import pointed_isomorphic
 
 from tests.property.strategies import (
     edge_databases,
@@ -22,6 +24,8 @@ from tests.property.strategies import (
 )
 
 _SETTINGS = settings(max_examples=40, deadline=None)
+
+X = Variable("x")
 
 
 class TestHomomorphismProperties:
@@ -79,6 +83,28 @@ class TestCoreProperties:
     @given(unary_feature_queries())
     def test_core_never_grows(self, query):
         assert len(core_of(query).atoms) <= len(query.atoms)
+
+
+class TestCanonicalFormProperties:
+    @_SETTINGS
+    @given(unary_feature_queries(), st.data())
+    def test_invariant_under_renaming_existentials(self, query, data):
+        existentials = sorted(query.existential_variables)
+        image = data.draw(st.permutations(existentials))
+        renamed = query.rename_variables(dict(zip(existentials, image)))
+        assert renamed.canonical_form() == query.canonical_form()
+
+    @settings(max_examples=150, deadline=None)
+    @given(unary_feature_queries(), unary_feature_queries())
+    def test_equal_iff_pointed_isomorphic(self, left, right):
+        # networkx VF2 on the canonical databases, pointed at x, is an
+        # oracle independent of canonical_form.
+        isomorphic = pointed_isomorphic(
+            left.canonical_database, (X,), right.canonical_database, (X,)
+        )
+        assert (left.canonical_form() == right.canonical_form()) == (
+            isomorphic
+        )
 
 
 class TestEvaluationProperties:
