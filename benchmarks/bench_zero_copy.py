@@ -76,7 +76,7 @@ def test_zero_copy_indicator_matrix(benchmark):
     ]
 
     for workers in WORKER_COUNTS:
-        with ParallelExecutor(workers, start_method=method) as executor:
+        with ParallelExecutor(workers) as executor:
             parallel_seconds, parallel_matrix = timed(
                 lambda x=executor: EvaluationEngine().indicator_matrix(
                     queries, database, entities, executor=x
@@ -152,9 +152,7 @@ def test_zero_copy_serving(benchmark):
     rows = []
     serial_seconds = None
     for workers in (1,) + WORKER_COUNTS:
-        with InferenceService(
-            artifact, workers=workers, start_method=method
-        ) as service:
+        with InferenceService(artifact, workers=workers) as service:
             service.warm_up()
             seconds, results = timed(
                 lambda s=service: s.predict_batch(requests)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -93,20 +92,7 @@ def _add_language_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes for sharded evaluation/generation "
         "(default 1: fully serial)",
     )
-    _add_start_method_option(parser)
     _add_backend_option(parser)
-
-
-def _add_start_method_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--start-method",
-        choices=("auto", "fork", "spawn", "forkserver"),
-        default="auto",
-        help="worker process start method (default auto: fork where the "
-        "platform supports it and the process is single-threaded — "
-        "workers then inherit prebuilt indexes and plans copy-on-write — "
-        "else spawn)",
-    )
 
 
 def _add_backend_option(parser: argparse.ArgumentParser) -> None:
@@ -199,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for micro-batched serving (default 1)",
     )
-    _add_start_method_option(predict)
     _add_backend_option(predict)
     predict.add_argument(
         "--on-error",
@@ -279,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes shared by all served models (default 1)",
     )
-    _add_start_method_option(serve)
     _add_backend_option(serve)
     serve.add_argument(
         "--max-batch",
@@ -703,9 +687,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         on_error=args.on_error,
         max_loaded=args.max_loaded,
         store=args.store,
-        start_method=(
-            None if args.start_method == "auto" else args.start_method
-        ),
     )
     for name, version, path in specs:
         registry.register(name, path, version=version)
@@ -874,11 +855,6 @@ def _run_qbe(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "start_method", "auto") != "auto":
-        # One knob for every executor this invocation creates — sessions
-        # and services build their pools internally, and all of them
-        # consult REPRO_START_METHOD at pool-creation time.
-        os.environ["REPRO_START_METHOD"] = args.start_method
     handlers = {
         "separability": _run_separability,
         "classify": _run_classify,

@@ -166,38 +166,6 @@ class BitsetIndex:
             tables[name] = table
         self.fact_tables: Mapping[str, Any] = tables
 
-    @classmethod
-    def from_arrays(
-        cls,
-        elements: Any,
-        occurrence_bits: Mapping[Tuple[str, int], Any],
-        fact_tables: Mapping[str, Any],
-    ) -> "BitsetIndex":
-        """Wrap already-encoded arrays without re-packing anything.
-
-        The zero-copy attach path (:func:`repro.data.shm.attach_bitsets`)
-        rebuilds a worker-side index from shared-memory array views; only
-        the ``element_id`` mapping is recomputed, from the same
-        ``sorted_domain`` order the exporter used, so ids agree across
-        processes.  The arrays are adopted as-is (typically read-only
-        views over a mapped segment).
-        """
-        if not HAVE_NUMPY:
-            raise DatabaseError(
-                "BitsetIndex requires numpy; check repro.data.bitset."
-                "HAVE_NUMPY before constructing one"
-            )
-        self = object.__new__(cls)
-        self.elements = tuple(elements)
-        self.element_id = {
-            element: i for i, element in enumerate(self.elements)
-        }
-        self.n_elements = len(self.elements)
-        self.n_words = (self.n_elements + WORD_BITS - 1) // WORD_BITS
-        self.occurrence_bits = dict(occurrence_bits)
-        self.fact_tables = dict(fact_tables)
-        return self
-
     def __repr__(self) -> str:
         return (
             f"BitsetIndex(elements={self.n_elements}, "

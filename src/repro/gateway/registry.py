@@ -137,16 +137,11 @@ class ModelRegistry:
         max_loaded: Optional[int] = None,
         on_evict: Optional[Callable[[str, str, InferenceService], None]] = None,
         store: Optional[Any] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         if max_loaded is not None and max_loaded < 1:
             raise GatewayError(f"max_loaded must be >= 1, got {max_loaded}")
         self.workers = workers
         self.backend = backend
-        # The gateway's dispatch lanes are threads, so auto-selection
-        # resolves to spawn at pool-creation time; an explicit "fork"
-        # here is honored but is the operator's call (DESIGN.md §3.15).
-        self.start_method = start_method
         self.on_error = on_error
         self.max_loaded = max_loaded
         self._on_evict = on_evict
@@ -404,7 +399,6 @@ class ModelRegistry:
                     store_path=(
                         self._store.path if self._store is not None else None
                     ),
-                    start_method=self.start_method,
                 )
             return self._executor
 

@@ -14,9 +14,9 @@ This package executes those bags across worker processes:
   process and aggregated work/cache accounting;
 - :mod:`~repro.runtime.tasks` — the picklable shard tasks;
 - :mod:`~repro.runtime.broadcast` — the digest-keyed zero-copy protocol:
-  shared objects ship to each worker once (or never, under ``fork``),
-  payloads carry :class:`~repro.runtime.broadcast.BroadcastRef` handles,
-  and the numpy backend's bitset arrays ride shared memory.
+  shared objects ship to each worker once through a shared-memory
+  segment (or never, under ``fork``), and payloads carry
+  :class:`~repro.runtime.broadcast.BroadcastRef` handles.
 
 Entry points (`EvaluationEngine.indicator_matrix`, ``Statistic.vectors``,
 the generators, ``FeatureEngineeringSession``, the CLI's ``--workers``)

@@ -11,17 +11,14 @@ The broadcast protocol (DESIGN.md §3.15) splits identity from bytes:
 - The **parent** (:meth:`~repro.runtime.executor.ParallelExecutor.
   broadcast`) registers an object once under its content digest
   (:meth:`Database.digest() <repro.data.database.Database.digest>`, a
-  model checksum, or a hash of the pickled bytes), serializes it once
-  into a shared-memory segment (inline bytes where shared memory is
-  unavailable), and from then on puts only a tiny :class:`BroadcastRef`
-  into shard payloads.
+  model checksum, or a hash of the pickled bytes), pickles it once into a
+  ``repro-shm-*`` shared-memory segment, and from then on puts only a
+  tiny :class:`BroadcastRef` into shard payloads.
 - A **worker** resolves a ref through its process-resident cache: a hit
-  returns the pinned object (index and bitsets already built); a miss
-  fetches the bytes once, unpickles once, builds the
-  :class:`~repro.data.database.DatabaseIndex` eagerly, maps the parent's
-  shared :class:`~repro.data.bitset.BitsetIndex` arrays zero-copy when
-  the ref carries a manifest, pins the result, and never fetches that
-  digest again.
+  returns the pinned object (index already built); a miss copies the
+  segment's bytes out once, unpickles once, builds the
+  :class:`~repro.data.database.DatabaseIndex` eagerly, pins the result,
+  and never fetches that digest again.
 - Under the ``fork`` start method the parent *seeds* its own resident
   cache before the pool starts, so forked workers inherit the pinned
   objects — and their built indexes and compiled plans — copy-on-write:
@@ -33,13 +30,20 @@ executors can aggregate pool-wide ``broadcast_hits``/``broadcast_misses``
 in :meth:`~repro.runtime.executor.Executor.work_done`.  "Zero per-shard
 database pickles" is then checkable: misses are bounded by
 ``workers × objects``, never by shard count.
+
+Segment lifecycle (one owner, many borrowers): the creator — the parent's
+executor — keeps each segment registered with the stdlib resource
+tracker, so a crashed parent still gets its segments unlinked at tracker
+exit, and unlinks them in ``close()``.  Workers attach untracked, copy
+the bytes out and close their mapping at once; they never unlink.
 """
 
 from __future__ import annotations
 
 import pickle
+import secrets
 from collections import OrderedDict
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple
 
 from repro.data.database import Database
 from repro.exceptions import ReproError
@@ -47,24 +51,30 @@ from repro.exceptions import ReproError
 __all__ = [
     "BroadcastRef",
     "RESIDENT_CAP",
+    "SEGMENT_PREFIX",
+    "create_segment",
+    "attach_segment",
     "resolve",
     "seed",
+    "unpin",
     "snapshot",
     "resident_digests",
     "clear_resident",
 ]
 
 #: Resident objects pinned per worker process.  Bounds worker memory when
-#: a long-lived pool sees many distinct broadcast objects; the executor's
-#: parent-side segment table is bounded the same way.
+#: a long-lived pool sees many distinct broadcast objects.
 RESIDENT_CAP = 8
 
-# Worker-resident state.  Under fork these dicts are inherited from the
+#: Name prefix of every segment this library creates — the CI leak check
+#: greps ``/dev/shm`` for it after executors close.
+SEGMENT_PREFIX = "repro-shm-"
+
+# Worker-resident state.  Under fork this dict is inherited from the
 # parent (copy-on-write) — which is exactly the zero-copy seeding path —
 # and the counters are only ever read as deltas, so inherited absolute
 # values are harmless.
 _RESIDENT: "OrderedDict[str, Any]" = OrderedDict()
-_SEGMENTS: Dict[str, Any] = {}  # keep attached segments alive with their views
 _MISSING = object()
 _hits = 0
 _misses = 0
@@ -73,18 +83,60 @@ _misses = 0
 class BroadcastRef(NamedTuple):
     """A picklable pointer to a broadcast object — the payload-side handle.
 
-    Carries the content digest plus one of two byte sources: a shared
-    segment name (the zero-copy path) or inline pickled bytes (the
-    portable fallback).  ``bitsets`` optionally names the shared-memory
-    manifest of the object's :class:`~repro.data.bitset.BitsetIndex`, so
-    vectorized workers map the parent's arrays instead of re-packing.
+    Names the shared-memory segment holding the object's pickled bytes;
+    the content digest keys the worker's resident cache.
     """
 
     digest: str
-    segment: Optional[str]
+    segment: str
     nbytes: int
-    inline: Optional[bytes]
-    bitsets: Optional[Any]  # repro.data.shm.BitsetManifest
+
+
+def create_segment(nbytes: int) -> Any:
+    """A fresh uniquely-named segment of at least ``nbytes`` bytes.
+
+    Raises ``ImportError`` where the platform has no
+    ``multiprocessing.shared_memory`` and ``OSError`` when the segment
+    cannot be allocated (a full ``/dev/shm``).  The creating process keeps
+    the segment registered with the resource tracker (crash insurance);
+    the owner must ``close()`` and ``unlink()`` it when the broadcast is
+    released.
+    """
+    from multiprocessing import shared_memory
+
+    while True:
+        name = SEGMENT_PREFIX + secrets.token_hex(6)
+        try:
+            return shared_memory.SharedMemory(
+                name=name, create=True, size=max(1, nbytes)
+            )
+        except FileExistsError:  # pragma: no cover - 48-bit collision
+            continue
+
+
+def attach_segment(name: str) -> Any:
+    """Attach to an existing segment as a non-owning borrower.
+
+    The attachment is never recorded in the resource tracker: workers can
+    share the parent's tracker process (spawn inherits the fd), so an
+    attach-then-unregister would erase the *creator's* registration and the
+    owner's later ``unlink()`` would KeyError inside the tracker.  On
+    3.13+ ``track=False`` skips registration natively; earlier versions
+    no-op ``resource_tracker.register`` for the duration of the attach.
+    """
+    from multiprocessing import shared_memory
+
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track= parameter
+        from multiprocessing import resource_tracker
+
+        original = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original
 
 
 def snapshot() -> Dict[str, int]:
@@ -108,12 +160,18 @@ def seed(digest: str, obj: Any) -> None:
     _pin(digest, obj)
 
 
+def unpin(digest: str) -> None:
+    """Drop ``digest`` from this process's resident cache, if pinned."""
+    _RESIDENT.pop(digest, None)
+
+
 def resolve(ref: Any) -> Any:
     """The worker-side fetch: refs resolve, everything else passes through.
 
     Tasks call this on every payload slot that may be broadcast, so one
     task body serves ref-carrying and plain payloads alike (the serial
-    executor ships plain objects).
+    executor, and a parallel one that could not create a segment, ship
+    plain objects).
     """
     global _hits, _misses
     if not isinstance(ref, BroadcastRef):
@@ -126,80 +184,32 @@ def resolve(ref: Any) -> Any:
     _misses += 1
     obj = pickle.loads(_fetch_bytes(ref))
     if isinstance(obj, Database):
-        _warm_database(ref, obj)
+        obj.index  # a miss pays the build once; every later shard is warm
     _pin(ref.digest, obj)
     return obj
 
 
 def _fetch_bytes(ref: BroadcastRef) -> bytes:
-    if ref.segment is not None:
-        from repro.data import shm
-
-        try:
-            segment = shm.attach_segment(ref.segment)
-        except FileNotFoundError:
-            if ref.inline is not None:
-                return ref.inline
-            raise ReproError(
-                f"broadcast segment {ref.segment!r} for {ref.digest} is "
-                f"gone (owner closed or crashed) and the ref carries no "
-                f"inline bytes"
-            ) from None
-        try:
-            return bytes(segment.buf[: ref.nbytes])
-        finally:
-            segment.close()
-    if ref.inline is None:
-        raise ReproError(
-            f"broadcast ref {ref.digest} carries neither a segment nor "
-            f"inline bytes"
-        )
-    return ref.inline
-
-
-def _warm_database(ref: BroadcastRef, database: Database) -> None:
-    """Build the index now (a miss pays once, every later shard is warm).
-
-    When the ref carries a shared bitset manifest and numpy is usable,
-    the parent's packed arrays are attached as read-only views — the
-    vectorized backend then never re-encodes the database in any worker.
-    Attach failures (segment already released, numpy disabled) degrade to
-    the normal lazy local build.
-    """
-    index = database.index
-    if ref.bitsets is None:
-        return
-    from repro.data.bitset import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        return
-    from repro.data import shm
-    from repro.exceptions import DatabaseError
-
-    if not shm.HAVE_SHM:
-        return
     try:
-        segment, bitsets = shm.attach_bitsets(
-            ref.bitsets, index.sorted_domain
-        )
-    except (FileNotFoundError, DatabaseError):
-        return
-    index._bitsets = bitsets
-    _SEGMENTS[ref.digest] = segment
+        segment = attach_segment(ref.segment)
+    except FileNotFoundError:
+        raise ReproError(
+            f"broadcast segment {ref.segment!r} for {ref.digest} is gone "
+            f"(owner closed or crashed)"
+        ) from None
+    try:
+        return bytes(segment.buf[: ref.nbytes])
+    finally:
+        segment.close()
 
 
 def _pin(digest: str, obj: Any) -> None:
     _RESIDENT[digest] = obj
     _RESIDENT.move_to_end(digest)
     while len(_RESIDENT) > RESIDENT_CAP:
-        evicted, _ = _RESIDENT.popitem(last=False)
-        # Drop the keepalive only; the mapping is released by GC once the
-        # evicted object's array views die (an explicit close() here could
-        # raise BufferError while views are still reachable).
-        _SEGMENTS.pop(evicted, None)
+        _RESIDENT.popitem(last=False)
 
 
 def clear_resident() -> None:
-    """Drop every pinned object and attached segment keepalive (tests)."""
+    """Drop every pinned object (tests)."""
     _RESIDENT.clear()
-    _SEGMENTS.clear()

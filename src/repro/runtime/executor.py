@@ -26,10 +26,9 @@ plain loop could finish.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cq.engine import CacheInfo
 from repro.exceptions import ReproError
@@ -62,14 +61,8 @@ _EMPTY_WORK = ("hom_checks", "backtrack_nodes", "cover_games",
                "backend_fallbacks", "cache_hits", "cache_misses",
                "broadcast_hits", "broadcast_misses")
 
-#: Environment override for the worker start method (the CLI's
-#: ``--start-method`` flag sets it); ``auto`` defers to
-#: :func:`preferred_start_method`.
-START_METHOD_ENV = "REPRO_START_METHOD"
-
-
 def preferred_start_method() -> str:
-    """The start method auto-selection resolves to on this platform, now.
+    """The start method a pool created now uses on this platform.
 
     ``fork`` wherever the platform offers it *and* the calling process is
     still single-threaded — forked workers then inherit the parent's
@@ -77,7 +70,7 @@ def preferred_start_method() -> str:
     copy-on-write, the cheapest possible worker start.  Forking a
     multi-threaded parent can deadlock the children (another thread may
     hold a lock at fork time), so once threads exist — the gateway's
-    dispatch lanes, notably — auto falls back to the portable
+    dispatch lanes, notably — pools use the portable
     ``spawn``+initializer path.
     """
     import multiprocessing
@@ -118,7 +111,6 @@ class Executor:
         task: Task,
         items: Sequence[Any],
         payload: Callable[[Sequence[Any]], Payload],
-        plan: Optional[ShardPlan] = None,
         shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
     ) -> List[Any]:
         """Shard ``items``, run ``task`` per shard, merge in item order.
@@ -127,10 +119,7 @@ class Executor:
         attaching the shared database).  Each shard result must be a
         sequence with one entry per item of its chunk.
         """
-        if plan is None:
-            plan = ShardPlan.for_workers(
-                len(items), self.workers, shards_per_worker
-            )
+        plan = ShardPlan.for_workers(len(items), self.workers, shards_per_worker)
         payloads = [payload(chunk) for chunk in plan.chunk(items)]
         shard_results = self.map_shards(task, payloads)
         return ShardPlan.merge(shard_results)
@@ -146,7 +135,8 @@ class Executor:
         :func:`~repro.runtime.broadcast.resolve` passes it through.
         :class:`ParallelExecutor` overrides this with the digest-keyed
         zero-copy protocol and returns a
-        :class:`~repro.runtime.broadcast.BroadcastRef`.
+        :class:`~repro.runtime.broadcast.BroadcastRef` (or the object
+        itself when no shared-memory segment can be created).
         """
         return obj
 
@@ -204,53 +194,6 @@ class SerialExecutor(Executor):
         return results
 
 
-class _BroadcastHandle:
-    """Parent-side ownership of one broadcast: the ref plus its segments.
-
-    Handles are never evicted before :meth:`ParallelExecutor.close` —
-    an in-flight shard may carry any ref ever issued, and unlinking its
-    segment early would turn a worker's cache miss into an error.  The
-    table is therefore bounded by the executor's lifetime working set
-    (the distinct databases/models a session broadcasts), which the
-    caller already holds in memory anyway; workers, by contrast, pin at
-    most :data:`~repro.runtime.broadcast.RESIDENT_CAP` objects and
-    re-fetch from the still-live segment after evicting one.
-    """
-
-    __slots__ = ("ref", "_segment", "_arrays_segment")
-
-    def __init__(self, ref: Any, segment: Any, arrays_segment: Any) -> None:
-        self.ref = ref
-        self._segment = segment
-        self._arrays_segment = arrays_segment
-
-    def segment_bytes(self) -> int:
-        total = 0
-        for segment in (self._segment, self._arrays_segment):
-            if segment is not None:
-                total += segment.size
-        return total
-
-    def release(self) -> None:
-        """Close and unlink the owned segments (idempotent).
-
-        Workers that already pinned the object are unaffected (their
-        mappings stay valid until they drop them); workers that have not
-        fetched yet fall back to the ref's inline bytes or rebuild
-        locally.
-        """
-        for attr in ("_segment", "_arrays_segment"):
-            segment = getattr(self, attr)
-            if segment is None:
-                continue
-            setattr(self, attr, None)
-            try:
-                segment.close()
-                segment.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-
-
 class ParallelExecutor(Executor):
     """Process-pool execution with one evaluation engine per worker.
 
@@ -276,15 +219,13 @@ class ParallelExecutor(Executor):
         store).  Paths rather than store objects cross the process
         boundary; each worker opens its own handle.  The content store's
         atomic same-content writes make concurrent workers safe.
-    start_method:
-        Worker start method: ``"fork"``, ``"spawn"``, ``"forkserver"``,
-        or ``None``/``"auto"`` (the default) — the ``REPRO_START_METHOD``
-        environment variable if set, else :func:`preferred_start_method`,
-        decided at pool-creation time.  Under ``fork``, objects broadcast
-        before the pool starts are inherited copy-on-write — indexes,
-        bitsets, and compiled plans included — so workers start fully
-        warm; ``spawn`` workers build state through the initializer and
-        the shared-memory fetch path instead.
+
+    The pool's start method is :func:`preferred_start_method`, decided
+    when the pool is created.  Under ``fork``, objects broadcast before
+    the pool starts are inherited copy-on-write — indexes and compiled
+    plans included — so workers start fully warm; ``spawn`` workers build
+    state through the initializer and the shared-memory fetch path
+    instead.
 
     Workers are started lazily on first dispatch and reused across calls,
     so per-worker caches stay warm over a whole session.  Dispatch falls
@@ -301,7 +242,6 @@ class ParallelExecutor(Executor):
         plan_queries: Sequence[Any] = (),
         backend: Optional[str] = None,
         store_path: Optional[str] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         super().__init__()
         if workers < 2:
@@ -309,46 +249,30 @@ class ParallelExecutor(Executor):
                 "ParallelExecutor needs >= 2 workers; "
                 "use SerialExecutor (or make_executor) for workers <= 1"
             )
-        if start_method not in (None, "auto", "fork", "spawn", "forkserver"):
-            raise ReproError(
-                f"unknown start method {start_method!r}; expected fork, "
-                f"spawn, forkserver, or auto"
-            )
         self.workers = workers
         self._cache_size = cache_size
         self._plan_queries = tuple(plan_queries)
         self._backend = backend
         self._store_path = store_path
-        self._start_method = start_method
         self._pool: Optional[Any] = None
-        #: Picklable handles of everything broadcast through this executor,
-        #: by digest.  The executor owns the backing shared-memory segments
-        #: (created here, unlinked in :meth:`close`).
-        self._broadcasts: Dict[str, "_BroadcastHandle"] = {}
+        #: What payloads carry for each object broadcast through this
+        #: executor, by digest: a :class:`~repro.runtime.broadcast.
+        #: BroadcastRef`, or the object itself when no segment could be
+        #: created.  Never evicted before :meth:`close` — an in-flight
+        #: shard may carry any ref ever issued.
+        self._broadcasts: Dict[str, Any] = {}
+        #: The shared-memory segments behind the refs; this executor owns
+        #: them (created in :meth:`broadcast`, unlinked in :meth:`close`).
+        self._segments: List[Any] = []
         #: The start method the live pool was actually created with.
         self.effective_start_method: Optional[str] = None
         #: Last reason parallel dispatch fell back to serial, or None.
         self.fallback_reason: Optional[str] = None
-        #: Number of dispatches that needed any serial fallback.
+        #: Number of dispatches that needed any serial fallback, plus
+        #: broadcasts that had to carry the object itself.
         self.fallbacks: int = 0
 
     # ------------------------------------------------------------------
-
-    def _resolve_start_method(self) -> str:
-        requested = self._start_method
-        if requested in (None, "auto"):
-            requested = os.environ.get(START_METHOD_ENV) or "auto"
-        if requested == "auto":
-            return preferred_start_method()
-        import multiprocessing
-
-        if requested not in multiprocessing.get_all_start_methods():
-            raise ReproError(
-                f"start method {requested!r} is not supported on this "
-                f"platform (available: "
-                f"{multiprocessing.get_all_start_methods()})"
-            )
-        return requested
 
     def _ensure_pool(self) -> Any:
         with self._accounting_lock:
@@ -356,7 +280,7 @@ class ParallelExecutor(Executor):
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
-                method = self._resolve_start_method()
+                method = preferred_start_method()
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=multiprocessing.get_context(method),
@@ -374,75 +298,58 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
 
     def broadcast(self, obj: Any, digest: Optional[str] = None) -> Any:
-        """Register ``obj`` once; returns the ref payloads should carry.
+        """Register ``obj`` once; returns what payloads should carry.
 
         Keyed by content digest — ``obj.digest()`` when the object has
         one (databases), the caller-supplied ``digest`` (the serving path
         passes the artifact checksum), or a hash of the pickled bytes.
-        The first call pickles the object once into a shared-memory
-        segment and seeds the parent's resident cache (so a pool forked
-        after this point inherits the object, and serial fallbacks
-        resolve locally); every later call returns the cached ref without
+        The first call seeds the parent's resident cache (so a pool
+        forked after this point inherits the object, and serial fallbacks
+        resolve locally), builds a database's index before any fork, and
+        pickles the object once into a shared-memory segment for workers
+        that miss; every later call returns the cached ref without
         touching the object at all.
 
-        For databases, the parent's index is built here — before any
-        fork — and, when the workers run the numpy backend, the packed
-        bitset arrays are exported to shared memory so vectorized workers
-        map them read-only instead of re-encoding.
+        When no segment can be created — no ``multiprocessing.
+        shared_memory`` on this platform, or a full ``/dev/shm`` — the
+        payloads carry the object itself, exactly as under
+        :class:`SerialExecutor`; :attr:`fallbacks` counts the event and
+        :attr:`fallback_reason` records why.
         """
+        from repro.data.database import Database
+
         if digest is None:
             method = getattr(obj, "digest", None)
             if callable(method):
                 digest = method()
         with self._accounting_lock:
-            if digest is not None and digest in self._broadcasts:
-                return self._broadcasts[digest].ref
+            if digest in self._broadcasts:
+                return self._broadcasts[digest]
             data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
             if digest is None:
                 digest = "sha256:" + hashlib.sha256(data).hexdigest()
                 if digest in self._broadcasts:
-                    return self._broadcasts[digest].ref
-            handle = self._make_handle(digest, obj, data)
-            self._broadcasts[digest] = handle
-            return handle.ref
-
-    def _make_handle(
-        self, digest: str, obj: Any, data: bytes
-    ) -> "_BroadcastHandle":
-        from repro.data.database import Database
-
-        _broadcast.seed(digest, obj)
-        manifest = None
-        arrays_segment = None
-        if isinstance(obj, Database):
-            index = obj.index  # built pre-fork: children inherit it warm
-            if self._backend == "numpy":
-                from repro.data.bitset import HAVE_NUMPY
-                from repro.data import shm
-
-                if HAVE_NUMPY and shm.HAVE_SHM:
-                    arrays_segment, manifest = shm.export_bitsets(
-                        index.bitsets()
-                    )
-        segment = None
-        segment_name = None
-        inline: Optional[bytes] = data
-        from repro.data import shm
-
-        if shm.HAVE_SHM:
+                    return self._broadcasts[digest]
+            _broadcast.seed(digest, obj)
+            if isinstance(obj, Database):
+                obj.index  # built pre-fork: children inherit it warm
             try:
-                segment = shm.create_segment(len(data))
+                segment = _broadcast.create_segment(len(data))
+            except (ImportError, OSError) as error:
+                carried = obj
+                self.fallbacks += 1
+                self.fallback_reason = (
+                    f"no shared-memory segment for broadcast {digest}: "
+                    f"{error}"
+                )
+            else:
                 segment.buf[: len(data)] = data
-                segment_name = segment.name
-                inline = None
-            except OSError:
-                segment = None
-                segment_name = None
-                inline = data
-        ref = _broadcast.BroadcastRef(
-            digest, segment_name, len(data), inline, manifest
-        )
-        return _BroadcastHandle(ref, segment, arrays_segment)
+                self._segments.append(segment)
+                carried = _broadcast.BroadcastRef(
+                    digest, segment.name, len(data)
+                )
+            self._broadcasts[digest] = carried
+            return carried
 
     def broadcast_info(self) -> Dict[str, Any]:
         """Parent-side broadcast table: digests and segment bytes held."""
@@ -450,17 +357,30 @@ class ParallelExecutor(Executor):
             return {
                 "objects": len(self._broadcasts),
                 "segment_bytes": sum(
-                    handle.segment_bytes()
-                    for handle in self._broadcasts.values()
+                    segment.size for segment in self._segments
                 ),
                 "digests": sorted(self._broadcasts),
             }
 
     def _release_broadcasts(self) -> None:
-        handles = list(self._broadcasts.values())
-        self._broadcasts.clear()
-        for handle in handles:
-            handle.release()
+        """Unlink owned segments and unpin what :meth:`broadcast` seeded.
+
+        Workers that already pinned an object are unaffected; the
+        executor is closed, so no later shard can carry one of its refs.
+        """
+        with self._accounting_lock:
+            digests = list(self._broadcasts)
+            segments = self._segments
+            self._broadcasts = {}
+            self._segments = []
+        for digest in digests:
+            _broadcast.unpin(digest)
+        for segment in segments:
+            try:
+                segment.close()
+                segment.unlink()
+            except OSError:  # pragma: no cover - already unlinked
+                pass
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -566,7 +486,6 @@ def make_executor(
     plan_queries: Optional[Sequence[Any]] = None,
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
-    start_method: Optional[str] = None,
 ) -> Executor:
     """The executor for a ``workers=`` knob: serial iff ``workers <= 1``.
 
@@ -577,9 +496,7 @@ def make_executor(
     :meth:`~repro.cq.engine.EvaluationEngine.plan_for`.  ``backend``
     selects the worker engines' evaluation backend; the serial executor
     ignores it too (serial shards run on the calling process's engine,
-    whose backend the caller already chose).  ``start_method`` picks the
-    worker start method (``None``/``"auto"``: ``REPRO_START_METHOD``,
-    else fork where safe, spawn otherwise).
+    whose backend the caller already chose).
     """
     if workers is None or workers <= 1:
         return SerialExecutor()
@@ -589,5 +506,4 @@ def make_executor(
         plan_queries=() if plan_queries is None else plan_queries,
         backend=backend,
         store_path=store_path,
-        start_method=start_method,
     )

@@ -75,25 +75,16 @@ class ShardPlan:
         total: int,
         workers: int,
         shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-        min_shard_size: int = 1,
     ) -> "ShardPlan":
-        """A balanced plan sized for a worker pool.
+        """A balanced plan of ``workers * shards_per_worker`` shards.
 
-        Targets ``workers * shards_per_worker`` shards but never cuts a
-        shard below ``min_shard_size`` items — tiny shards would drown the
-        computation in pickling and dispatch overhead.
+        Fewer items than that give one single-item shard per item.
         """
         if workers < 1:
             raise ReproError("shard plan needs at least one worker")
         if shards_per_worker < 1:
             raise ReproError("shards_per_worker must be positive")
-        if min_shard_size < 1:
-            raise ReproError("min_shard_size must be positive")
-        if total == 0:
-            return cls(0, ())
-        target = workers * shards_per_worker
-        largest = max(1, total // min_shard_size)
-        return cls.balanced(total, max(1, min(target, largest)))
+        return cls.balanced(total, workers * shards_per_worker)
 
     # ------------------------------------------------------------------
     # Chunking and merging

@@ -82,11 +82,6 @@ class InferenceService:
         and memoized answers from disk at :meth:`warm_up` instead of
         recomputing them.  Ignored when an explicit ``engine`` is given
         (attach the store to that engine instead).
-    start_method:
-        Worker start method for a service-owned pool (``"fork"`` /
-        ``"spawn"`` / ``"forkserver"``; default auto — fork where safe,
-        spawn otherwise; see DESIGN.md §3.15).  Ignored when an explicit
-        ``executor`` is given.
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class InferenceService:
         engine: Optional[EvaluationEngine] = None,
         backend: str = "python",
         store: Optional[Any] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         if on_error not in ON_ERROR_MODES:
             raise ServeError(
@@ -130,7 +124,6 @@ class InferenceService:
                 store_path=(
                     engine_store.path if engine_store is not None else None
                 ),
-                start_method=start_method,
             )
             self._owns_executor = True
         else:
@@ -165,10 +158,12 @@ class InferenceService:
         Compiles every feature query's :class:`~repro.cq.plan.QueryPlan`
         into the serving engine's plan cache (which also builds the
         canonical databases and their indexes), and — when serving with a
-        worker pool — pushes one empty micro-batch through the executor so
-        worker processes start (compiling their own plans via the worker
-        initializer) before traffic arrives.  Idempotent; :meth:`predict`
-        and :meth:`predict_batch` call it lazily on first use.
+        worker pool — pushes one empty database per worker through the
+        executor so every worker process starts (compiling its own plans
+        via the worker initializer) before traffic arrives: a spawn pool
+        starts workers on demand, one per outstanding shard.  Idempotent;
+        :meth:`predict` and :meth:`predict_batch` call it lazily on first
+        use.
         """
         if self._warmed:
             return
@@ -178,10 +173,8 @@ class InferenceService:
             if vectorize:
                 plan.vectorized()
         if self._executor is not None and self._executor.workers > 1:
-            empty = Database(
-                (), schema=self._artifact.schema
-            )
-            self._dispatch_batch([empty])
+            empty = Database((), schema=self._artifact.schema)
+            self._dispatch_batch([empty] * self._executor.workers)
         self._warmed = True
         self.metrics.observe_warmup()
 

@@ -1,10 +1,39 @@
-"""Shared fixtures: small databases and training databases used throughout."""
+"""Shared fixtures: small databases and training databases used throughout.
+
+Worker pools pick their start method by the runtime's own rule — fork
+while the process is single-threaded, spawn once it has threads — so a
+test selects spawn by holding a live thread (the ``live_thread``
+fixture).  With ``REPRO_TEST_SPAWN=1`` one idle thread is parked for the
+whole session, so every pool spawns and rows that need fork skip.
+"""
 
 from __future__ import annotations
+
+import os
+import threading
 
 import pytest
 
 from repro.data import Database, TrainingDatabase
+
+
+def pytest_configure(config):
+    if os.environ.get("REPRO_TEST_SPAWN") == "1":
+        threading.Thread(
+            target=threading.Event().wait, name="repro-test-spawn", daemon=True
+        ).start()
+
+
+@pytest.fixture
+def live_thread():
+    """One idle thread for the test's duration: new pools then spawn."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    thread.start()
+    yield thread
+    release.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.fixture

@@ -1,15 +1,19 @@
-"""Broadcast protocol tests: refs, resident cache, and partial fallback.
+"""Broadcast protocol tests: segments, refs, resident cache, and repairs.
 
 The tentpole claim of the zero-copy runtime is "one fetch per worker per
 object, zero per-shard database pickles".  These tests pin the pieces that
-make it checkable: tiny refs, digest-keyed idempotence, hit/miss counting,
-LRU residency, segment lifecycle at ``close()``, and the two dispatch
-repairs that ride along — worker-cache invalidation on pool discard and
-shard-exact serial fallback that never re-executes a completed shard.
+make it checkable: the shared-memory segment lifecycle, tiny refs,
+digest-keyed idempotence, hit/miss counting, LRU residency, the
+object-carrying path when no segment can be created, cleanup at
+``close()``, and the two dispatch repairs that ride along — worker-cache
+invalidation on pool discard and shard-exact serial fallback that never
+re-executes a completed shard.
 """
 
 from __future__ import annotations
 
+import errno
+import glob
 import multiprocessing
 import os
 import pickle
@@ -18,7 +22,6 @@ import threading
 import pytest
 
 from repro.core.separability import feature_pool
-from repro.data import shm
 from repro.exceptions import ReproError
 from repro.runtime import (
     BroadcastRef,
@@ -27,12 +30,22 @@ from repro.runtime import (
     preferred_start_method,
 )
 from repro.runtime import broadcast
-from repro.runtime.executor import START_METHOD_ENV
 from repro.runtime.tasks import evaluate_unary_queries
 from repro.workloads.retail import retail_database
 
 WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "2")))
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+try:
+    from multiprocessing import shared_memory  # noqa: F401
+
+    HAVE_SHARED_MEMORY = True
+except ImportError:  # pragma: no cover - platforms without _posixshmem
+    HAVE_SHARED_MEMORY = False
+
+needs_shm = pytest.mark.skipif(
+    not HAVE_SHARED_MEMORY, reason="multiprocessing.shared_memory unavailable"
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +63,50 @@ def _clean_resident():
     broadcast.clear_resident()
 
 
+@needs_shm
+class TestSegments:
+    def test_create_attach_roundtrip(self):
+        payload = b"broadcast bytes"
+        segment = broadcast.create_segment(len(payload))
+        try:
+            segment.buf[: len(payload)] = payload
+            attached = broadcast.attach_segment(segment.name)
+            try:
+                assert bytes(attached.buf[: len(payload)]) == payload
+            finally:
+                attached.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_names_carry_the_leak_check_prefix(self):
+        segment = broadcast.create_segment(8)
+        try:
+            assert segment.name.startswith(broadcast.SEGMENT_PREFIX)
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_attacher_close_leaves_segment_alive(self):
+        segment = broadcast.create_segment(4)
+        try:
+            borrower = broadcast.attach_segment(segment.name)
+            borrower.close()
+            # The owner can still attach: the borrower did not unlink.
+            again = broadcast.attach_segment(segment.name)
+            again.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_unlink_removes_the_backing_file(self):
+        segment = broadcast.create_segment(4)
+        name = segment.name
+        segment.close()
+        segment.unlink()
+        assert not glob.glob(f"/dev/shm/{name}")
+
+
 class TestResolve:
     def test_non_refs_pass_through(self, workload):
         database, _ = workload
@@ -59,7 +116,7 @@ class TestResolve:
 
     def test_seed_then_resolve_is_a_hit(self, workload):
         database, _ = workload
-        ref = BroadcastRef(database.digest(), None, 0, None, None)
+        ref = BroadcastRef(database.digest(), "repro-shm-unused", 0)
         before = broadcast.snapshot()
         broadcast.seed(database.digest(), database)
         resolved = broadcast.resolve(ref)
@@ -68,33 +125,40 @@ class TestResolve:
         assert after["broadcast_hits"] == before["broadcast_hits"] + 1
         assert after["broadcast_misses"] == before["broadcast_misses"]
 
-    def test_miss_unpickles_inline_bytes_once(self, workload):
+    @needs_shm
+    def test_miss_unpickles_segment_bytes_once(self, workload, monkeypatch):
         database, _ = workload
         data = pickle.dumps(database)
-        ref = BroadcastRef(database.digest(), None, len(data), data, None)
-        before = broadcast.snapshot()
-        first = broadcast.resolve(ref)
-        second = broadcast.resolve(ref)
-        after = broadcast.snapshot()
+        unpickled = []
+        loads = pickle.loads
+
+        def counting_loads(blob):
+            unpickled.append(bytes(blob))
+            return loads(blob)
+
+        monkeypatch.setattr(broadcast.pickle, "loads", counting_loads)
+        segment = broadcast.create_segment(len(data))
+        try:
+            segment.buf[: len(data)] = data
+            ref = BroadcastRef(database.digest(), segment.name, len(data))
+            before = broadcast.snapshot()
+            first = broadcast.resolve(ref)
+            second = broadcast.resolve(ref)
+            after = broadcast.snapshot()
+        finally:
+            segment.close()
+            segment.unlink()
+        assert unpickled == [data]
         assert first.digest() == database.digest()
         assert second is first  # pinned: the second resolve is a hit
         assert after["broadcast_misses"] == before["broadcast_misses"] + 1
         assert after["broadcast_hits"] == before["broadcast_hits"] + 1
 
-    def test_byteless_ref_is_an_error(self):
-        ref = BroadcastRef("sha256:deadbeef", None, 0, None, None)
+    @needs_shm
+    def test_missing_segment_is_an_error(self):
+        ref = BroadcastRef("sha256:deadbeef", "repro-shm-000000000000", 8)
         with pytest.raises(ReproError):
             broadcast.resolve(ref)
-
-    def test_missing_segment_falls_back_to_inline(self, workload):
-        database, _ = workload
-        data = pickle.dumps(database)
-        ref = BroadcastRef(
-            database.digest(), "repro-shm-000000000000", len(data), data,
-            None,
-        )
-        resolved = broadcast.resolve(ref)
-        assert resolved.digest() == database.digest()
 
     def test_resident_cache_is_lru_capped(self):
         for i in range(broadcast.RESIDENT_CAP + 1):
@@ -110,15 +174,14 @@ class TestExecutorBroadcast:
         database, _ = workload
         assert SerialExecutor().broadcast(database) is database
 
+    @needs_shm
     def test_ref_is_tiny_and_digest_keyed(self, workload):
         database, _ = workload
         with ParallelExecutor(WORKERS) as executor:
             ref = executor.broadcast(database)
             assert isinstance(ref, BroadcastRef)
             assert ref.digest == database.digest()
-            if shm.HAVE_SHM:
-                assert ref.inline is None  # bytes live in the segment
-                assert len(pickle.dumps(ref)) < len(pickle.dumps(database))
+            assert len(pickle.dumps(ref)) < len(pickle.dumps(database))
             # Re-broadcasting the same object is free and idempotent.
             assert executor.broadcast(database) == ref
             info = executor.broadcast_info()
@@ -133,29 +196,61 @@ class TestExecutorBroadcast:
             assert first == second
             assert executor.broadcast_info()["objects"] == 1
 
-    @pytest.mark.skipif(not shm.HAVE_SHM, reason="needs shared memory")
+    @needs_shm
     def test_close_unlinks_segments(self, workload):
         database, _ = workload
         executor = ParallelExecutor(WORKERS)
         ref = executor.broadcast(database)
-        attached = shm.attach_segment(ref.segment)
+        attached = broadcast.attach_segment(ref.segment)
         attached.close()
         executor.close()
         with pytest.raises(FileNotFoundError):
-            shm.attach_segment(ref.segment)
+            broadcast.attach_segment(ref.segment)
 
-    def test_inline_fallback_without_shared_memory(
-        self, workload, monkeypatch
-    ):
+    def test_close_unpins_what_broadcast_seeded(self, workload):
         database, _ = workload
-        monkeypatch.setattr(shm, "HAVE_SHM", False)
-        with ParallelExecutor(WORKERS) as executor:
-            ref = executor.broadcast(database)
-            assert ref.segment is None
-            assert ref.inline is not None
-            broadcast.clear_resident()
-            assert broadcast.resolve(ref).digest() == database.digest()
+        executor = ParallelExecutor(WORKERS)
+        executor.broadcast(database)
+        assert database.digest() in broadcast.resident_digests()
+        executor.close()
+        assert database.digest() not in broadcast.resident_digests()
 
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+            ImportError("No module named '_posixshmem'"),
+        ],
+        ids=["dev-shm-full", "no-shared-memory"],
+    )
+    def test_no_segment_carries_the_object(
+        self, workload, monkeypatch, failure
+    ):
+        database, queries = workload
+
+        def create_segment(nbytes):
+            raise failure
+
+        monkeypatch.setattr(broadcast, "create_segment", create_segment)
+        serial = SerialExecutor().run(
+            evaluate_unary_queries, queries,
+            lambda chunk: (tuple(chunk), database),
+        )
+        with ParallelExecutor(WORKERS) as executor:
+            carried = executor.broadcast(database)
+            assert carried is database
+            assert executor.fallbacks == 1
+            assert str(failure) in executor.fallback_reason
+            assert executor.broadcast(database) is database
+            assert executor.fallbacks == 1  # counted once per object
+            assert executor.broadcast_info()["segment_bytes"] == 0
+            assert executor.run(
+                evaluate_unary_queries, queries,
+                lambda chunk: (tuple(chunk), carried),
+            ) == serial
+            assert executor.fallbacks == 1  # the dispatch itself ran pooled
+
+    @needs_shm
     def test_dispatch_counts_hits_not_per_shard_misses(self, workload):
         database, queries = workload
         serial = SerialExecutor().run(
@@ -246,41 +341,5 @@ class TestStartMethodSelection:
         ) else "spawn"
         assert preferred_start_method() == expected
 
-    def test_threads_force_spawn(self):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert preferred_start_method() == "spawn"
-        finally:
-            release.set()
-            thread.join()
-
-    def test_invalid_start_method_rejected(self):
-        with pytest.raises(ReproError):
-            ParallelExecutor(WORKERS, start_method="threads")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        executor = ParallelExecutor(WORKERS)
-        try:
-            assert executor._resolve_start_method() == "spawn"
-        finally:
-            executor.close()
-
-    def test_auto_defers_to_env(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        executor = ParallelExecutor(WORKERS, start_method="auto")
-        try:
-            assert executor._resolve_start_method() == "spawn"
-        finally:
-            executor.close()
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork unavailable")
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        executor = ParallelExecutor(WORKERS, start_method="fork")
-        try:
-            assert executor._resolve_start_method() == "fork"
-        finally:
-            executor.close()
+    def test_threads_force_spawn(self, live_thread):
+        assert preferred_start_method() == "spawn"

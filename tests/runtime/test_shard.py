@@ -48,11 +48,6 @@ class TestForWorkers:
         plan = ShardPlan.for_workers(100, 4, shards_per_worker=2)
         assert len(plan) == 8
 
-    def test_respects_min_shard_size(self):
-        plan = ShardPlan.for_workers(10, 8, shards_per_worker=2, min_shard_size=5)
-        assert len(plan) == 2
-        assert all(stop - start == 5 for start, stop in plan)
-
     def test_never_empty_shards(self):
         plan = ShardPlan.for_workers(3, 8)
         assert len(plan) == 3

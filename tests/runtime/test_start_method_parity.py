@@ -6,11 +6,15 @@ must never change a single bit of output.  This suite pins that across the
 retail and molecules workloads, both evaluation backends, and worker
 counts 1/2/4 — and checks the broadcast counters prove the zero-copy
 path actually ran (repeat dispatches are pure hits).
+
+The runtime's own rule picks the start method: spawn rows hold a live
+idle thread, and fork rows skip when the process already has threads.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -47,6 +51,14 @@ BACKENDS = [
 ]
 
 
+def _select(method, request):
+    """Arrange for the runtime's start-method rule to pick ``method``."""
+    if method == "spawn":
+        request.getfixturevalue("live_thread")
+    elif threading.active_count() > 1:
+        pytest.skip("the process has threads, so the runtime never forks")
+
+
 @pytest.fixture(scope="module", params=["retail", "molecules"])
 def workload(request):
     if request.param == "retail":
@@ -63,14 +75,15 @@ class TestIndicatorMatrixParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", START_METHODS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bit_identical_to_serial(self, workload, backend, method, workers):
+    def test_bit_identical_to_serial(
+        self, workload, backend, method, workers, request
+    ):
         _, database, queries, entities = workload
         serial = EvaluationEngine(backend=backend).indicator_matrix(
             queries, database, entities
         )
-        with make_executor(
-            workers, backend=backend, start_method=method
-        ) as executor:
+        _select(method, request)
+        with make_executor(workers, backend=backend) as executor:
             # Fresh engines per call: a warm parent cache would satisfy
             # every query locally and skip dispatch entirely.
             first = EvaluationEngine(backend=backend).indicator_matrix(
@@ -121,16 +134,16 @@ def served(request):
 class TestPredictBatchParity:
     @pytest.mark.parametrize("method", START_METHODS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bit_identical_to_session(self, served, method, workers):
+    def test_bit_identical_to_session(self, served, method, workers, request):
         artifact, evaluations, expected = served
-        with InferenceService(
-            artifact, workers=workers, start_method=method
-        ) as service:
+        _select(method, request)
+        with InferenceService(artifact, workers=workers) as service:
             assert service.predict_batch(evaluations) == expected
             if workers <= 1:
                 return
             executor = service.executor
             assert executor.fallback_reason is None
+            assert executor.effective_start_method == method
             work = executor.work_done()
             assert work["broadcast_misses"] <= workers * 2  # db + model
             assert service.predict_batch(evaluations) == expected

@@ -8,6 +8,8 @@ under micro-batched multi-worker execution alike.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core.languages import BoundedAtomsCQ, GhwClass
@@ -218,6 +220,21 @@ class TestLifecycle:
             snapshot = service.metrics_snapshot()
             assert snapshot["engine"]["compiled_plans"] == artifact.dimension
             assert snapshot["engine"]["plan_cache_hits"] > 0
+
+    def test_warm_up_starts_every_spawn_worker(
+        self, retail_session, live_thread
+    ):
+        # A threaded parent gets a spawn pool, which starts workers on
+        # demand: warm-up must give each worker a shard, or the first
+        # real batch pays the cold start of the rest.
+        before = set(multiprocessing.active_children())
+        with InferenceService(
+            retail_session.export_artifact(), workers=2
+        ) as service:
+            service.warm_up()
+            assert service.executor.effective_start_method == "spawn"
+            started = set(multiprocessing.active_children()) - before
+            assert len(started) == service.workers
 
     def test_close_is_idempotent(self, retail_session):
         artifact = retail_session.export_artifact()
