@@ -3,8 +3,9 @@
 Boots the gateway as a real subprocess on an ephemeral port, then over
 plain HTTP: probes /healthz, scores one database via /v1/predict and
 checks the labels against a direct in-process InferenceService.predict,
-reads /metrics, and finally SIGTERMs the server expecting a graceful
-drain and exit code 0.
+reads /metrics, posts a body with a numeric fact argument (400) and the
+valid body again (still 200), and finally SIGTERMs the server expecting
+a graceful drain and exit code 0.
 
 Backend is selected with GATEWAY_BACKEND (default "python") so the same
 script covers the pure-python and numpy legs of the matrix.
@@ -17,6 +18,7 @@ import os
 import signal
 import subprocess
 import sys
+import urllib.error
 import urllib.request
 
 from repro.core.languages import BoundedAtomsCQ
@@ -47,6 +49,16 @@ def get_json(url: str, body: bytes = None) -> dict:
     )
     with urllib.request.urlopen(request, timeout=30) as reply:
         return json.load(reply)
+
+
+def post_status(url: str, body: bytes) -> int:
+    """The HTTP status of a POST, error statuses included."""
+    request = urllib.request.Request(url, data=body, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as reply:
+            return reply.status
+    except urllib.error.HTTPError as error:
+        return error.code
 
 
 def main() -> None:
@@ -81,6 +93,15 @@ def main() -> None:
         metrics = get_json(f"{base}/metrics")
         assert metrics["models"]["retail@1"]["requests"] == 1, metrics
         assert metrics["gateway"]["admission"]["in_flight"] == 0, metrics
+
+        # A malformed fact is answered 400 and leaves the server serving.
+        bad = json.dumps(
+            {"facts": [{"relation": "eta", "arguments": [5]}]}
+        ).encode()
+        status = post_status(f"{base}/v1/predict?model=retail", bad)
+        assert status == 400, status
+        status = post_status(f"{base}/v1/predict?model=retail", body)
+        assert status == 200, status
 
         server.send_signal(signal.SIGTERM)
         _, stderr = server.communicate(timeout=60)

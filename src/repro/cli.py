@@ -18,9 +18,9 @@ Training databases are the JSON documents of
 :func:`repro.data.io.training_database_to_json`; evaluation databases and
 plain QBE databases use the line-oriented fact syntax of
 :func:`repro.data.io.database_from_text`.  ``predict`` consumes a JSONL
-stream (one ``{"id": ..., "facts": [...]}`` request per line, ``-`` for
-stdin) and produces one ``{"id": ..., "labels": {...}}`` JSON line per
-request on stdout.
+stream (one ``{"id": ..., "facts": [...]}`` request or bare facts list per
+line, ``-`` for stdin) and produces one ``{"id": ..., "labels": {...}}``
+JSON line per request on stdout.
 
 Every failure the library reports — missing or corrupt model/training
 files included — exits with code 2 and a one-line ``error:`` message.
@@ -31,13 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.data.database import Database
 from repro.data.io import (
-    _element_to_str,
     database_from_text,
-    facts_from_json,
     labeling_to_text,
     training_database_from_json,
 )
@@ -474,168 +472,82 @@ def _run_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_requests(path: str) -> List[Tuple[Any, Database]]:
-    """Parse a JSONL request stream into (request id, database) pairs."""
+def _read_jsonl(path: str, kind: str) -> Iterator[Tuple[int, Any]]:
+    """(line number, JSON value) of each non-blank line; ``-`` is stdin.
+
+    A line that is not JSON is a :class:`ParseError` naming it as a
+    ``kind`` line.
+    """
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as handle:
             text = handle.read()
-    requests: List[Tuple[Any, Database]] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
             continue
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"request line {lineno}: invalid JSON: {exc}")
-        if not isinstance(payload, dict) or "facts" not in payload:
-            raise ParseError(
-                f"request line {lineno}: expected an object with a "
-                "'facts' list"
-            )
-        request_id = payload.get("id", lineno)
-        requests.append((request_id, Database(facts_from_json(payload["facts"]))))
-    return requests
+            raise ParseError(f"{kind} line {lineno}: invalid JSON: {exc}")
+        yield lineno, payload
 
 
-def _read_lines(path: str) -> List[str]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as handle:
-            text = handle.read()
-    return text.splitlines()
+def _run_predict(args: argparse.Namespace) -> int:
+    """Label a JSONL request stream, or with ``--stream`` an op stream.
 
-
-def _run_predict_stream(args: argparse.Namespace) -> int:
-    """Serve a stateful op stream: init once, then interleaved delta/predict.
-
-    Ops (one JSON object per line)::
+    A request line is ``{"id": ..., "facts": [...]}`` or a bare facts
+    list (its id is then the line number).  An op stream is one JSON
+    object per line over ONE evolving database::
 
         {"op": "init", "facts": [...]}          # exactly once, first
         {"op": "delta", "add": [...], "remove": [...]}
         {"op": "predict", "id": ...}            # labels the current version
 
-    Each predict writes one ``{"id", "labels"}`` line (or an ``{"id",
-    "error"}`` line under ``--on-error abstain``).  Deltas migrate the
-    serving engine's caches relation-scoped, so a predict after a small
-    delta re-evaluates only the features whose relations moved.
+    Every request or predict op writes one ``{"id", "labels"}`` line
+    (a predict op adds the ``version`` it labeled) or, under
+    ``--on-error abstain``, an ``{"id", "error"}`` line: the replies of
+    ``/v1/predict_batch`` and ``/v1/stream``.  Deltas migrate the serving
+    engine's caches relation-scoped, so a predict after a small delta
+    re-evaluates only the features whose relations moved.
     """
+    from repro.gateway.server import OpStream, parse_request, reply
     from repro.serve import InferenceService, ModelArtifact
-    from repro.stream import Delta
 
     artifact = ModelArtifact.load(args.model)
+    requests: List[Tuple[Any, Database]] = []
+    if not args.stream:
+        for lineno, payload in _read_jsonl(args.requests, "request"):
+            try:
+                requests.append(parse_request(payload, lineno))
+            except ReproError as error:
+                raise ParseError(f"request line {lineno}: {error}") from None
     with InferenceService(
         artifact, workers=args.workers, on_error=args.on_error,
         backend=args.backend, store=args.store,
     ) as service:
-        stream = None
-        for lineno, raw_line in enumerate(_read_lines(args.requests), start=1):
-            line = raw_line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"op line {lineno}: invalid JSON: {exc}")
-            if not isinstance(payload, dict) or "op" not in payload:
-                raise ParseError(
-                    f"op line {lineno}: expected an object with an 'op' key "
-                    "(streaming mode input is an op stream, not a request "
-                    "stream)"
-                )
-            op = payload["op"]
-            if op == "init":
-                if stream is not None:
-                    raise ParseError(
-                        f"op line {lineno}: duplicate init (one evolving "
-                        "database per stream)"
-                    )
-                if "facts" not in payload:
-                    raise ParseError(
-                        f"op line {lineno}: init requires a 'facts' list"
-                    )
-                base = Database(facts_from_json(payload["facts"]))
-                stream = service.open_stream(base)
-            elif op == "delta":
-                if stream is None:
-                    raise ParseError(
-                        f"op line {lineno}: delta before init"
-                    )
-                body = {
-                    key: value for key, value in payload.items() if key != "op"
-                }
-                stream.apply(Delta.from_json_dict(body))
-            elif op == "predict":
-                if stream is None:
-                    raise ParseError(
-                        f"op line {lineno}: predict before init"
-                    )
-                request_id = payload.get("id", lineno)
-                labeling = stream.predict()
-                if labeling is None:
-                    out = {
-                        "id": request_id,
-                        "error": "feature evaluation failed; abstained",
-                    }
-                else:
-                    out = {
-                        "id": request_id,
-                        "labels": {
-                            _element_to_str(entity): labeling[entity]
-                            for entity in sorted(labeling, key=str)
-                        },
-                    }
-                sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
-            else:
-                raise ParseError(
-                    f"op line {lineno}: unknown op {op!r} "
-                    "(expected init, delta, or predict)"
-                )
+        ops = OpStream(service) if args.stream else None
+        if ops is not None:
+            answers = (
+                ops.handle(op, lineno)
+                for lineno, op in _read_jsonl(args.requests, "op")
+            )
+        else:
+            labelings = service.predict_batch(
+                [database for _, database in requests]
+            )
+            answers = (
+                reply(request_id, labeling)
+                for (request_id, _), labeling in zip(requests, labelings)
+            )
+        for answer in answers:
+            if answer is not None:
+                sys.stdout.write(json.dumps(answer, sort_keys=True) + "\n")
         if args.metrics:
             snapshot = service.metrics_snapshot()
-            if stream is not None:
-                snapshot["stream"] = stream.stats()
+            if ops is not None and ops.stream is not None:
+                snapshot["stream"] = ops.stream.stats()
             print(json.dumps(snapshot, sort_keys=True), file=sys.stderr)
-    return 0
-
-
-def _run_predict(args: argparse.Namespace) -> int:
-    from repro.serve import InferenceService, ModelArtifact
-
-    if args.stream:
-        return _run_predict_stream(args)
-    artifact = ModelArtifact.load(args.model)
-    requests = _read_requests(args.requests)
-    with InferenceService(
-        artifact, workers=args.workers, on_error=args.on_error,
-        backend=args.backend, store=args.store,
-    ) as service:
-        labelings = service.predict_batch(
-            [database for _, database in requests]
-        )
-        for (request_id, _), labeling in zip(requests, labelings):
-            if labeling is None:
-                payload = {
-                    "id": request_id,
-                    "error": "feature evaluation failed; abstained",
-                }
-            else:
-                payload = {
-                    "id": request_id,
-                    "labels": {
-                        _element_to_str(entity): labeling[entity]
-                        for entity in sorted(labeling, key=str)
-                    },
-                }
-            sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-        if args.metrics:
-            print(
-                json.dumps(service.metrics_snapshot(), sort_keys=True),
-                file=sys.stderr,
-            )
     return 0
 
 

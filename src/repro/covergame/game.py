@@ -52,10 +52,8 @@ def _anchor_map(
         raise DatabaseError("cover game requires equal-length tuples")
     anchor: Dict[Element, Element] = {}
     for element, image in zip(source_tuple, target_tuple):
-        existing = anchor.get(element)
-        if existing is not None and existing != image:
+        if anchor.setdefault(element, image) != image:
             return None
-        anchor[element] = image
     return anchor
 
 

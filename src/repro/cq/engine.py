@@ -523,10 +523,8 @@ class EvaluationEngine:
             )
         fixed: Dict[Element, Element] = {}
         for element, image in zip(source_tuple, target_tuple):
-            existing = fixed.get(element)
-            if existing is not None and existing != image:
+            if fixed.setdefault(element, image) != image:
                 return False
-            fixed[element] = image
         return self.has_homomorphism(source, target, fixed)
 
     # ------------------------------------------------------------------

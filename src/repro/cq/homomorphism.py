@@ -48,6 +48,10 @@ __all__ = [
 Element = Any
 Assignment = Dict[Element, Element]
 
+#: Sentinel for "not bound yet" (``None`` is a legal database element, so
+#: it cannot play that role).
+_UNSET = object()
+
 
 class SearchCounters:
     """Mutable tally of homomorphism-search work.
@@ -64,9 +68,6 @@ class SearchCounters:
     def __init__(self) -> None:
         self.hom_checks = 0
         self.backtrack_nodes = 0
-
-    def snapshot(self) -> Tuple[int, int]:
-        return (self.hom_checks, self.backtrack_nodes)
 
     def __repr__(self) -> str:
         return (
@@ -189,8 +190,8 @@ def all_homomorphisms(
             newly_bound: List[Element] = []
             consistent = True
             for element, image in zip(fact.arguments, target_fact.arguments):
-                bound = assignment.get(element)
-                if bound is not None:
+                bound = assignment.get(element, _UNSET)
+                if bound is not _UNSET:
                     if bound != image:
                         consistent = False
                         break
@@ -261,10 +262,8 @@ def pointed_has_homomorphism(
         )
     fixed: Assignment = {}
     for element, image in zip(source_tuple, target_tuple):
-        existing = fixed.get(element)
-        if existing is not None and existing != image:
+        if fixed.setdefault(element, image) != image:
             return False
-        fixed[element] = image
     return has_homomorphism(source, target, fixed, counters)
 
 

@@ -41,6 +41,9 @@ __all__ = [
 Element = Any
 Assignment = Dict[Element, Element]
 
+#: Sentinel for "not bound yet" (``None`` is a legal database element).
+_UNSET = object()
+
 
 def _positional_candidates(
     source: Database, target: Database
@@ -136,8 +139,8 @@ def naive_all_homomorphisms(
             newly_bound: List[Element] = []
             consistent = True
             for element, image in zip(fact.arguments, target_fact.arguments):
-                bound = assignment.get(element)
-                if bound is not None:
+                bound = assignment.get(element, _UNSET)
+                if bound is not _UNSET:
                     if bound != image:
                         consistent = False
                         break
@@ -233,14 +236,11 @@ def naive_evaluate(
                 results.add(tuple(fixed[v] for v in free))
             return
         variable = free[index]
+        # Free variables are distinct, so ``variable`` is never bound yet.
         for value in sorted(candidate_sets[index], key=repr):
-            previous = fixed.get(variable)
-            if previous is not None and previous != value:
-                continue
             fixed[variable] = value
             assign(index + 1, fixed)
-            if previous is None:
-                del fixed[variable]
+            del fixed[variable]
 
     assign(0, {})
     return frozenset(results)

@@ -99,14 +99,6 @@ class PlanCounters:
         self.bag_rows = 0
         self.semijoins = 0
 
-    def snapshot(self) -> Tuple[int, int, int, int]:
-        return (
-            self.evaluations,
-            self.bag_relations,
-            self.bag_rows,
-            self.semijoins,
-        )
-
     def __repr__(self) -> str:
         return (
             f"PlanCounters(evaluations={self.evaluations}, "

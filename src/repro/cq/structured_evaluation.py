@@ -43,11 +43,9 @@ def _atom_matches(
         binding: Dict[Variable, Element] = {}
         consistent = True
         for variable, element in zip(atom.arguments, fact.arguments):
-            existing = binding.get(variable)
-            if existing is not None and existing != element:
+            if binding.setdefault(variable, element) != element:
                 consistent = False
                 break
-            binding[variable] = element
         if consistent:
             matches.append(binding)
     return matches

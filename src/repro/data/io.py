@@ -38,6 +38,7 @@ __all__ = [
 
 _FACT_RE = re.compile(r"^\s*(\w+)\s*\(\s*(.*?)\s*\)\s*$")
 _LABEL_RE = re.compile(r"^\s*([+-])\s*(\S+)\s*$")
+_INT_RE = re.compile(r"-?\d+")
 
 
 def _element_to_str(element: Any) -> str:
@@ -48,7 +49,7 @@ def _element_from_str(token: str) -> Any:
     token = token.strip()
     if not token:
         raise ParseError("empty element token")
-    if re.fullmatch(r"-?\d+", token):
+    if _INT_RE.fullmatch(token):
         return int(token)
     return token
 
@@ -132,19 +133,35 @@ def facts_to_json(facts: Iterable[Fact]) -> List[Dict[str, Any]]:
     return entries
 
 
-def facts_from_json(entries: Iterable[Any]) -> List[Fact]:
-    """Parse a list of ``{"relation", "arguments"}`` dicts into facts."""
+def facts_from_json(entries: Any) -> List[Fact]:
+    """Parse a list of ``{"relation", "arguments"}`` dicts into facts.
+
+    Every entry must be an object with a string ``relation`` and a list
+    of string ``arguments``; anything else is a :class:`ParseError` that
+    names the entry's index.
+    """
+    if not isinstance(entries, list):
+        raise ParseError(
+            f"malformed fact JSON: expected a list of facts, got "
+            f"{type(entries).__name__}"
+        )
     facts: List[Fact] = []
-    try:
-        for entry in entries:
-            facts.append(
-                Fact(
-                    entry["relation"],
-                    tuple(_element_from_str(a) for a in entry["arguments"]),
-                )
+    for index, entry in enumerate(entries):
+        relation = arguments = None
+        if isinstance(entry, dict):
+            relation = entry.get("relation")
+            arguments = entry.get("arguments")
+        if isinstance(relation, str) and isinstance(arguments, list):
+            elements = tuple(
+                _element_from_str(a) for a in arguments if isinstance(a, str)
             )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed fact JSON: {exc}") from exc
+            if len(elements) == len(arguments):
+                facts.append(Fact(relation, elements))
+                continue
+        raise ParseError(
+            f"malformed fact JSON: entry {index} must be an object with "
+            "a string 'relation' and a list of string 'arguments'"
+        )
     return facts
 
 

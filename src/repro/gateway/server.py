@@ -25,6 +25,11 @@ lane, so requests are grouped by ``?model=&version=`` query parameters
 and each batch is single-model by construction; the raw body bytes double
 as the fusion key.
 
+**Wire format.**  :func:`parse_request`, :func:`reply` and
+:class:`OpStream` are the one JSON format of served requests and replies;
+``repro predict`` and ``repro predict --stream`` use them too, so a file
+of requests or ops gets the same replies from the CLI as over HTTP.
+
 **Shutdown** (:meth:`GatewayServer.stop`) drains rather than drops: new
 requests are shed with 503, the listener closes, in-flight batches finish
 (bounded by ``drain_timeout``), lanes and the registry close.
@@ -33,6 +38,7 @@ requests are shed with 503, the listener closes, in-flight batches finish
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 import time
@@ -41,6 +47,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.data.database import Database
 from repro.data.io import _element_to_str, facts_from_json
+from repro.data.labeling import Labeling
 from repro.exceptions import GatewayError, ParseError, ReproError
 from repro.gateway.admission import RETRY_AFTER_S, AdmissionController
 from repro.gateway.batcher import MicroBatcher
@@ -55,12 +62,31 @@ from repro.gateway.http import (
     read_head,
 )
 from repro.gateway.registry import ModelRegistry
-from repro.serve.service import InferenceService
+from repro.serve.service import InferenceService, ServiceStream
+from repro.stream import Delta
 
-__all__ = ["GatewayServer", "metrics_line"]
+__all__ = [
+    "GatewayServer",
+    "OpStream",
+    "labels_json",
+    "metrics_line",
+    "parse_request",
+    "reply",
+]
 
 #: How long :meth:`GatewayServer.stop` waits for in-flight work, seconds.
 DEFAULT_DRAIN_TIMEOUT = 10.0
+
+#: The reply error of a request whose feature evaluation failed under
+#: ``on_error="abstain"``.
+ABSTAINED = "feature evaluation failed; abstained"
+
+
+# ----------------------------------------------------------------------
+# The wire format: `repro predict`, `repro predict --stream`, and the
+# /v1/predict, /v1/predict_batch and /v1/stream endpoints all read
+# requests and write replies through these three pieces.
+# ----------------------------------------------------------------------
 
 
 def labels_json(labeling: Any) -> Dict[str, int]:
@@ -69,6 +95,83 @@ def labels_json(labeling: Any) -> Dict[str, int]:
         _element_to_str(entity): labeling[entity]
         for entity in sorted(labeling, key=str)
     }
+
+
+def parse_request(payload: Any, default_id: Any) -> Tuple[Any, Database]:
+    """One decoded request → (request id, pointed database).
+
+    A request is ``{"facts": [...], "id": ...}`` or a bare facts list;
+    without an ``id`` it is ``default_id``.
+    """
+    if isinstance(payload, list):
+        return default_id, Database(facts_from_json(payload))
+    if isinstance(payload, dict) and "facts" in payload:
+        return payload.get("id", default_id), Database(
+            facts_from_json(payload["facts"])
+        )
+    raise ParseError(
+        "a request must be a facts list or an object with a 'facts' list"
+    )
+
+
+def reply(request_id: Any, labeling: Optional[Labeling]) -> Dict[str, Any]:
+    """The reply to one request: its labels, or the abstain error."""
+    if labeling is None:
+        return {"id": request_id, "error": ABSTAINED}
+    return {"id": request_id, "labels": labels_json(labeling)}
+
+
+class OpStream:
+    """The init/delta/predict op stream over one evolving database.
+
+    ``init`` comes once, first; ``delta`` and ``predict`` ops follow in
+    any order.  A malformed or misplaced op is a :class:`ParseError`
+    naming its line.
+    """
+
+    def __init__(self, service: InferenceService) -> None:
+        self.service = service
+        self.stream: Optional[ServiceStream] = None
+
+    def handle(self, op: Any, line: int) -> Optional[Dict[str, Any]]:
+        """Apply one decoded op: a ``predict`` returns its reply, with the
+        database ``version`` it labeled; the other ops return ``None``."""
+        if not isinstance(op, dict) or "op" not in op:
+            raise ParseError(
+                f"op line {line}: expected an object with an 'op' key "
+                "(streaming mode input is an op stream, not a request "
+                "stream)"
+            )
+        kind = op["op"]
+        if kind == "init":
+            if self.stream is not None:
+                raise ParseError(
+                    f"op line {line}: duplicate init (one evolving "
+                    "database per stream)"
+                )
+            if "facts" not in op:
+                raise ParseError(
+                    f"op line {line}: init requires a 'facts' list"
+                )
+            base = Database(facts_from_json(op["facts"]))
+            self.stream = self.service.open_stream(base)
+            return None
+        if kind not in ("delta", "predict"):
+            raise ParseError(
+                f"op line {line}: unknown op {kind!r} "
+                "(expected init, delta, or predict)"
+            )
+        if self.stream is None:
+            raise ParseError(f"op line {line}: {kind} before init")
+        if kind == "delta":
+            body = {key: value for key, value in op.items() if key != "op"}
+            self.stream.apply(Delta.from_json_dict(body))
+            return None
+        labeling = self.stream.predict()
+        answer = reply(op.get("id", line), labeling)
+        if labeling is not None:
+            answer["version"] = self.stream.version
+        return answer
 
 
 def metrics_line(snapshot: Dict[str, Any]) -> str:
@@ -125,7 +228,7 @@ class _Lane:
         self,
         name: str,
         version: str,
-        dispatch: Callable[[List[bytes]], Awaitable[List[Tuple[int, bytes]]]],
+        dispatch: Callable[[List[bytes]], Awaitable[List[Tuple[int, Any]]]],
         max_batch: int,
         window: float,
     ) -> None:
@@ -267,6 +370,13 @@ class GatewayServer:
             while True:
                 try:
                     head = await read_head(reader)
+                    if head is None:
+                        return
+                    keep_alive = (
+                        head.keep_alive and not self.admission.draining
+                    )
+                    if not await self._route(head, reader, writer, keep_alive):
+                        return
                 except HttpError as error:
                     # The connection state is unknown (bytes may be stuck
                     # mid-request), so answer and close rather than reuse.
@@ -278,23 +388,6 @@ class GatewayServer:
                         )
                     )
                     await writer.drain()
-                    return
-                if head is None:
-                    return
-                keep_alive = head.keep_alive and not self.admission.draining
-                try:
-                    handled = await self._route(head, reader, writer, keep_alive)
-                except HttpError as error:
-                    writer.write(
-                        json_response(
-                            error.status,
-                            {"error": str(error)},
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    return
-                if not handled or not keep_alive:
                     return
         except (asyncio.CancelledError, ConnectionResetError):
             pass
@@ -312,7 +405,7 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
         keep_alive: bool,
     ) -> bool:
-        """Dispatch one request; returns False when the connection must close."""
+        """Answer one request; returns whether the connection stays open."""
         method, path = head.method, head.path
         if path == "/healthz":
             if method not in ("GET", "HEAD"):
@@ -329,7 +422,7 @@ class GatewayServer:
                 response = response.split(b"\r\n\r\n", 1)[0] + b"\r\n\r\n"
             writer.write(response)
             await writer.drain()
-            return True
+            return keep_alive
         if path == "/metrics":
             if method != "GET":
                 raise HttpError(405, f"{method} not allowed on {path}")
@@ -337,7 +430,7 @@ class GatewayServer:
                 json_response(200, self.metrics(), keep_alive=keep_alive)
             )
             await writer.drain()
-            return True
+            return keep_alive
         if path == "/v1/models":
             if method != "GET":
                 raise HttpError(405, f"{method} not allowed on {path}")
@@ -348,48 +441,38 @@ class GatewayServer:
                 )
             )
             await writer.drain()
-            return True
-        if path == "/v1/predict":
-            if method != "POST":
-                raise HttpError(405, f"{method} not allowed on {path}")
-            body = await read_body(reader, head, self.max_body)
-            status, payload = await self._predict(head, body)
-            writer.write(
-                json_response(
-                    status,
-                    payload,
-                    keep_alive=keep_alive,
-                    extra_headers=self._shed_headers(status),
-                )
-            )
-            await writer.drain()
-            return True
-        if path == "/v1/predict_batch":
-            if method != "POST":
-                raise HttpError(405, f"{method} not allowed on {path}")
-            body = await read_body(reader, head, self.max_body)
-            status, payload = await self._predict_batch(head, body)
-            writer.write(
-                json_response(
-                    status,
-                    payload,
-                    keep_alive=keep_alive,
-                    extra_headers=self._shed_headers(status),
-                )
-            )
-            await writer.drain()
-            return True
+            return keep_alive
+        if path not in ("/v1/predict", "/v1/predict_batch", "/v1/stream"):
+            raise HttpError(404, f"no route for {path}")
+        if method != "POST":
+            raise HttpError(405, f"{method} not allowed on {path}")
         if path == "/v1/stream":
-            if method != "POST":
-                raise HttpError(405, f"{method} not allowed on {path}")
-            return await self._stream(head, reader, writer)
-        raise HttpError(404, f"no route for {path}")
-
-    @staticmethod
-    def _shed_headers(status: int) -> List[Tuple[str, str]]:
-        if status in (429, 503):
-            return [("retry-after", str(RETRY_AFTER_S))]
-        return []
+            keep_alive = False  # the stream answers until its body ends
+            step = functools.partial(self._stream, head, reader, writer)
+        else:
+            body = await read_body(reader, head, self.max_body)
+            step = functools.partial(
+                self._submit if path == "/v1/predict" else self._run_batch,
+                body,
+            )
+        answer = await self._admitted(head, step)
+        if answer is not None:
+            status, payload = answer
+            shed_headers = (
+                [("retry-after", str(RETRY_AFTER_S))]
+                if status in (429, 503)
+                else []
+            )
+            writer.write(
+                json_response(
+                    status,
+                    payload,
+                    keep_alive=keep_alive,
+                    extra_headers=shed_headers,
+                )
+            )
+            await writer.drain()
+        return keep_alive
 
     # ------------------------------------------------------------------
     # Lanes
@@ -412,8 +495,8 @@ class GatewayServer:
 
     def _make_dispatch(
         self, key: Tuple[str, str]
-    ) -> Callable[[List[bytes]], Awaitable[List[Tuple[int, bytes]]]]:
-        async def dispatch(bodies: List[bytes]) -> List[Tuple[int, bytes]]:
+    ) -> Callable[[List[bytes]], Awaitable[List[Tuple[int, Any]]]]:
+        async def dispatch(bodies: List[bytes]) -> List[Tuple[int, Any]]:
             with self._lanes_lock:
                 lane = self._lanes.get(key)
             if lane is None:
@@ -444,12 +527,20 @@ class GatewayServer:
             lane.retire(wait=False)
 
     # ------------------------------------------------------------------
-    # /v1/predict
+    # The model endpoints: /v1/predict, /v1/predict_batch, /v1/stream
     # ------------------------------------------------------------------
 
-    async def _predict(
-        self, head: HttpRequest, body: bytes
-    ) -> Tuple[int, Any]:
+    async def _admitted(
+        self,
+        head: HttpRequest,
+        step: Callable[[_Lane, Tuple[str, str]], Awaitable[Any]],
+    ) -> Optional[Tuple[int, Any]]:
+        """Admit a request, resolve its model, run ``step`` on the lane.
+
+        The one path of every model endpoint: they differ only in the
+        lane step.  Returns the (status, payload) to answer, or ``None``
+        when the step answered on the connection itself.
+        """
         name = head.query.get("model")
         version = head.query.get("version")
         shed = self.admission.try_admit()
@@ -462,94 +553,12 @@ class GatewayServer:
                 resolved = self.registry.resolve(name, version)
             except GatewayError as error:
                 return 404, {"error": str(error)}
-            lane = self._lane_for(*resolved)
             try:
-                status, payload = await lane.batcher.submit(body, key=body)
+                return await step(self._lane_for(*resolved), resolved)
             except GatewayError as error:
                 return 503, {"error": str(error)}
-            return status, json.loads(payload)
         finally:
             self.admission.release()
-
-    def _execute_batch(
-        self, key: Tuple[str, str], bodies: List[bytes], depth: int
-    ) -> List[Tuple[int, bytes]]:
-        """Parse, predict, and encode one micro-batch.  Lane thread only."""
-        name, version = key
-        with self.registry.acquire(name, version) as lease:
-            service = lease.service
-            service.metrics.observe_queue_depth(depth)
-            parsed: List[Optional[Tuple[Any, Database]]] = []
-            results: List[Optional[Tuple[int, bytes]]] = []
-            for body in bodies:
-                try:
-                    parsed.append(self._parse_predict(body))
-                    results.append(None)
-                except (ParseError, HttpError, GatewayError) as error:
-                    parsed.append(None)
-                    results.append(
-                        (400, _encode({"error": str(error)}))
-                    )
-            databases = [entry[1] for entry in parsed if entry is not None]
-            labelings = service.predict_batch(databases)
-            position = 0
-            for index, entry in enumerate(parsed):
-                if entry is None:
-                    continue
-                request_id, _ = entry
-                labeling = labelings[position]
-                position += 1
-                if labeling is None:
-                    results[index] = (
-                        422,
-                        _encode(
-                            {
-                                "id": request_id,
-                                "error": (
-                                    "feature evaluation failed; abstained"
-                                ),
-                            }
-                        ),
-                    )
-                else:
-                    results[index] = (
-                        200,
-                        _encode(
-                            {
-                                "id": request_id,
-                                "model": name,
-                                "version": version,
-                                "labels": labels_json(labeling),
-                            }
-                        ),
-                    )
-            assert all(result is not None for result in results)
-            return results  # type: ignore[return-value]
-
-    def _parse_predict(self, body: bytes) -> Tuple[Any, Database]:
-        """One predict body → (request id, pointed database).
-
-        Accepts ``{"facts": [...], "id": ...}`` (the CLI request-line
-        shape) or a bare facts list.
-        """
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as error:
-            raise ParseError(f"invalid JSON body: {error}") from None
-        return self._parse_predict_payload(payload)
-
-    @staticmethod
-    def _parse_predict_payload(payload: Any) -> Tuple[Any, Database]:
-        if isinstance(payload, list):
-            return None, Database(facts_from_json(payload))
-        if isinstance(payload, dict) and "facts" in payload:
-            return payload.get("id"), Database(
-                facts_from_json(payload["facts"])
-            )
-        raise ParseError(
-            "predict body must be a facts list or an object with a "
-            "'facts' list"
-        )
 
     def _record_shed(
         self, name: Optional[str], version: Optional[str]
@@ -563,231 +572,133 @@ class GatewayServer:
         if service is not None:
             service.metrics.observe_shed()
 
-    # ------------------------------------------------------------------
-    # /v1/predict_batch
-    # ------------------------------------------------------------------
-
-    async def _predict_batch(
-        self, head: HttpRequest, body: bytes
+    async def _submit(
+        self, body: bytes, lane: _Lane, _key: Tuple[str, str]
     ) -> Tuple[int, Any]:
-        name = head.query.get("model")
-        version = head.query.get("version")
-        shed = self.admission.try_admit()
-        if shed is not None:
-            status, reason = shed
-            self._record_shed(name, version)
-            return status, {"error": reason}
-        try:
+        """/v1/predict: join the lane's micro-batch (equal bodies fuse)."""
+        return await lane.batcher.submit(body, key=body)
+
+    def _execute_batch(
+        self, key: Tuple[str, str], bodies: List[bytes], depth: int
+    ) -> List[Tuple[int, Any]]:
+        """Parse, predict, and reply to one micro-batch.  Lane thread only.
+
+        A body that does not parse is answered 400 on its own; the rest
+        of the batch is served.
+        """
+        name, version = key
+        requests: List[Tuple[Any, Database]] = []
+        errors: Dict[int, str] = {}
+        for index, body in enumerate(bodies):
             try:
-                resolved = self.registry.resolve(name, version)
-            except GatewayError as error:
-                return 404, {"error": str(error)}
-            lane = self._lane_for(*resolved)
-            loop = asyncio.get_running_loop()
-            status, payload = await loop.run_in_executor(
-                lane.pool, self._execute_batch_request, resolved, body
+                requests.append(parse_request(_json_body(body), None))
+            except ReproError as error:
+                errors[index] = str(error)
+        with self.registry.acquire(name, version) as lease:
+            lease.service.metrics.observe_queue_depth(depth)
+            labelings = lease.service.predict_batch(
+                [database for _, database in requests]
             )
-            return status, json.loads(payload)
-        finally:
-            self.admission.release()
+        served = zip(requests, labelings)
+        results: List[Tuple[int, Any]] = []
+        for index in range(len(bodies)):
+            if index in errors:
+                results.append((400, {"error": errors[index]}))
+                continue
+            (request_id, _), labeling = next(served)
+            answer = reply(request_id, labeling)
+            if labeling is None:
+                results.append((422, answer))
+            else:
+                answer.update(model=name, version=version)
+                results.append((200, answer))
+        return results
+
+    async def _run_batch(
+        self, body: bytes, lane: _Lane, key: Tuple[str, str]
+    ) -> Tuple[int, Any]:
+        """/v1/predict_batch: the body's requests as one lane call."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            lane.pool, self._execute_batch_request, key, body
+        )
 
     def _execute_batch_request(
         self, key: Tuple[str, str], body: bytes
-    ) -> Tuple[int, bytes]:
+    ) -> Tuple[int, Any]:
         """One explicit batch request, whole-batch.  Lane thread only."""
         name, version = key
         try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as error:
-            return 400, _encode({"error": f"invalid JSON body: {error}"})
-        if isinstance(payload, dict) and "requests" in payload:
-            entries = payload["requests"]
-        elif isinstance(payload, list):
+            payload = _json_body(body)
             entries = payload
-        else:
-            return 400, _encode(
-                {
-                    "error": (
-                        "batch body must be a list of requests or an "
-                        "object with a 'requests' list"
-                    )
-                }
-            )
-        if not isinstance(entries, list):
-            return 400, _encode({"error": "'requests' must be a list"})
-        requests: List[Tuple[Any, Database]] = []
-        try:
-            for entry in entries:
-                requests.append(self._parse_predict_payload(entry))
-        except (ParseError, GatewayError) as error:
-            return 400, _encode({"error": str(error)})
+            if isinstance(payload, dict):
+                entries = payload.get("requests")
+            if not isinstance(entries, list):
+                raise ParseError(
+                    "batch body must be a list of requests or an object "
+                    "with a 'requests' list"
+                )
+            requests = [parse_request(entry, None) for entry in entries]
+        except ReproError as error:
+            return 400, {"error": str(error)}
         with self.registry.acquire(name, version) as lease:
             # An empty batch short-circuits in predict_batch ([] in, [] out,
             # no warm-up, no metrics) — the gateway mirrors that contract.
             labelings = lease.service.predict_batch(
                 [database for _, database in requests]
             )
-        results: List[Dict[str, Any]] = []
-        for (request_id, _), labeling in zip(requests, labelings):
-            if labeling is None:
-                results.append(
-                    {
-                        "id": request_id,
-                        "error": "feature evaluation failed; abstained",
-                    }
-                )
-            else:
-                results.append(
-                    {"id": request_id, "labels": labels_json(labeling)}
-                )
-        return 200, _encode(
-            {"model": name, "version": version, "results": results}
-        )
-
-    # ------------------------------------------------------------------
-    # /v1/stream
-    # ------------------------------------------------------------------
+        results = [
+            reply(request_id, labeling)
+            for (request_id, _), labeling in zip(requests, labelings)
+        ]
+        return 200, {"model": name, "version": version, "results": results}
 
     async def _stream(
         self,
         head: HttpRequest,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Serve one NDJSON op stream; returns False (connection closes).
+        lane: _Lane,
+        key: Tuple[str, str],
+    ) -> Optional[Tuple[int, Any]]:
+        """/v1/stream: run the body's ops through an :class:`OpStream`.
 
-        Ops mirror ``repro predict --stream``: ``init`` (once, first),
-        then interleaved ``delta`` / ``predict``.  Each predict answers
-        one chunked NDJSON line, flushed as soon as the engine produced
-        it.  The stream holds one admission slot and one model lease for
-        its whole life, so draining waits for it and eviction cannot
-        close the model under it.
+        Each reply is one chunked NDJSON line, flushed as soon as the
+        lane produced it; a failing op answers ``{"line", "error"}`` and
+        ends the stream.  A malformed body met before the first line went
+        out is answered as a plain error response with its own status.
+        The stream holds its admission slot and a model lease for its
+        whole life, so draining waits for it and eviction cannot close
+        the model under it.
         """
-        name = head.query.get("model")
-        version = head.query.get("version")
-        shed = self.admission.try_admit()
-        if shed is not None:
-            status, reason = shed
-            self._record_shed(name, version)
-            writer.write(
-                json_response(
-                    status,
-                    {"error": reason},
-                    keep_alive=False,
-                    extra_headers=self._shed_headers(status),
-                )
-            )
-            await writer.drain()
-            return False
         loop = asyncio.get_running_loop()
         out = NdjsonStreamWriter(writer)
-        lease = None
-        stream = None
         self.streams_open += 1
         try:
-            try:
-                resolved = self.registry.resolve(name, version)
-            except GatewayError as error:
-                writer.write(
-                    json_response(404, {"error": str(error)}, keep_alive=False)
-                )
-                await writer.drain()
-                return False
-            lane = self._lane_for(*resolved)
             lease = await loop.run_in_executor(
-                lane.pool, self.registry.acquire, *resolved
+                lane.pool, self.registry.acquire, *key
             )
-            line_number = 0
-            async for op in iter_ndjson(reader, head, self.max_body):
-                line_number += 1
-                try:
-                    result = await self._stream_op(
-                        loop, lane, lease.service, stream, op, line_number
-                    )
-                except (ParseError, ReproError) as error:
-                    await out.send({"line": line_number, "error": str(error)})
-                    break
-                stream, reply = result
-                if reply is not None:
-                    await out.send(reply)
+            with lease:
+                ops = OpStream(lease.service)
+                line = 0
+                async for op in iter_ndjson(reader, head, self.max_body):
+                    line += 1
+                    try:
+                        answer = await loop.run_in_executor(
+                            lane.pool, ops.handle, op, line
+                        )
+                    except ReproError as error:
+                        await out.send({"line": line, "error": str(error)})
+                        break
+                    if answer is not None:
+                        await out.send(answer)
             await out.finish()
-            return False
-        except (asyncio.CancelledError, ConnectionResetError):
-            return False
         except HttpError as error:
-            if out.started:
-                return False
-            writer.write(
-                json_response(
-                    error.status, {"error": str(error)}, keep_alive=False
-                )
-            )
-            await writer.drain()
-            return False
+            if not out.started:
+                return error.status, {"error": str(error)}
         finally:
             self.streams_open -= 1
-            if lease is not None:
-                lease.release()
-            self.admission.release()
-
-    async def _stream_op(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        lane: _Lane,
-        service: InferenceService,
-        stream: Any,
-        op: Any,
-        line_number: int,
-    ) -> Tuple[Any, Optional[Dict[str, Any]]]:
-        """Apply one op on the lane thread; returns (stream, reply line)."""
-        from repro.stream import Delta
-
-        if not isinstance(op, dict) or "op" not in op:
-            raise ParseError(
-                f"op line {line_number}: expected an object with an 'op' key"
-            )
-        kind = op["op"]
-        if kind == "init":
-            if stream is not None:
-                raise ParseError(
-                    f"op line {line_number}: duplicate init (one evolving "
-                    "database per stream)"
-                )
-            if "facts" not in op:
-                raise ParseError(
-                    f"op line {line_number}: init requires a 'facts' list"
-                )
-            base = Database(facts_from_json(op["facts"]))
-            stream = await loop.run_in_executor(
-                lane.pool, service.open_stream, base
-            )
-            return stream, None
-        if kind == "delta":
-            if stream is None:
-                raise ParseError(f"op line {line_number}: delta before init")
-            body = {k: v for k, v in op.items() if k != "op"}
-            delta = Delta.from_json_dict(body)
-            await loop.run_in_executor(lane.pool, stream.apply, delta)
-            return stream, None
-        if kind == "predict":
-            if stream is None:
-                raise ParseError(f"op line {line_number}: predict before init")
-            request_id = op.get("id", line_number)
-            labeling = await loop.run_in_executor(lane.pool, stream.predict)
-            if labeling is None:
-                return stream, {
-                    "id": request_id,
-                    "error": "feature evaluation failed; abstained",
-                }
-            return stream, {
-                "id": request_id,
-                "version": stream.version,
-                "labels": labels_json(labeling),
-            }
-        raise ParseError(
-            f"op line {line_number}: unknown op {kind!r} "
-            "(expected init, delta, or predict)"
-        )
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -832,5 +743,9 @@ class GatewayServer:
         }
 
 
-def _encode(payload: Any) -> bytes:
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+def _json_body(body: bytes) -> Any:
+    """A request body's JSON value; anything else is a :class:`ParseError`."""
+    try:
+        return json.loads(body)
+    except (ValueError, RecursionError) as error:
+        raise ParseError(f"invalid JSON body: {error}") from None

@@ -56,6 +56,15 @@ class TestBasicGames:
         db = _edges([(1, 2)])
         assert not cover_game_holds(db, (1, 1), db, (1, 2), 1)
 
+    def test_inconsistent_anchor_through_none(self):
+        # (1, 1) -> (image, "a") is not a function, None or not.
+        source = _edges([(1, 2)])
+        target = _edges([("a", "b")])
+        for image in (None, "b"):
+            assert not cover_game_holds(
+                source, (1, 1), target, (image, "a"), 1
+            )
+
     def test_anchor_fact_violation(self):
         db = _edges([(1, 2)])
         # Map the edge endpoints backwards: the fact E(1,2) breaks.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cq.engine import EvaluationEngine
 from repro.cq.homomorphism import (
     all_homomorphisms,
     find_homomorphism,
@@ -12,6 +13,9 @@ from repro.cq.homomorphism import (
     is_homomorphism,
     pointed_has_homomorphism,
 )
+from repro.cq.naive import naive_has_homomorphism, naive_selects
+from repro.cq.parser import parse_cq
+from repro.cq.plan import HomomorphismProgram
 from repro.data import Database
 from repro.exceptions import DatabaseError
 
@@ -80,6 +84,34 @@ class TestFixedAssignments:
         db = _edges([(1, 2)])
         with pytest.raises(DatabaseError):
             pointed_has_homomorphism(db, (1,), db, (1, 2))
+
+
+class TestNoneIsAnElement:
+    """``None`` is a legal element: a binding to it is still a binding."""
+
+    def test_search_keeps_a_none_binding(self):
+        path = _edges([(1, 2), (2, 3)])
+        target = _edges([(None, "a"), ("b", "c"), ("c", "d")])
+        assert not HomomorphismProgram.compile(path, (1,)).run(
+            target, {1: None}
+        )
+        assert not has_homomorphism(path, target, {1: None})
+        assert not naive_has_homomorphism(path, target, {1: None})
+        query = parse_cq("q(x) :- E(x, y), E(y, z)")
+        assert not EvaluationEngine().selects(query, target, None)
+        assert not naive_selects(query, target, None)
+
+    def test_pointed_tuple_must_be_a_function(self):
+        source = _edges([(1, 2)])
+        target = _edges([("a", "b")])
+        # (1, 1) -> (image, "a") maps 1 to two elements, None or not.
+        for image in (None, "b"):
+            assert not pointed_has_homomorphism(
+                source, (1, 1), target, (image, "a")
+            )
+            assert not EvaluationEngine().pointed_has_homomorphism(
+                source, (1, 1), target, (image, "a")
+            )
 
 
 class TestAllHomomorphisms:

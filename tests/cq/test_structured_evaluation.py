@@ -65,6 +65,13 @@ class TestAgainstBacktracking:
         # F does not exist: ghw evaluation must agree (empty).
         assert reference_ghw(query, graph_database, 1) == frozenset()
 
+    def test_none_element_binds_a_variable(self):
+        # F(x, x) needs equal arguments; F(None, "a") has none.
+        query = parse_cq("q(x) :- F(x, x)")
+        database = Database.from_tuples({"F": [(None, "a")]})
+        assert reference_ghw(query, database, 1) == frozenset()
+        assert evaluate_unary(query, database) == frozenset()
+
 
 class TestValidation:
     def test_non_unary_rejected(self, graph_database):

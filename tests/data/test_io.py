@@ -8,6 +8,7 @@ from repro.data import Database, Labeling, TrainingDatabase
 from repro.data.io import (
     database_from_text,
     database_to_text,
+    facts_from_json,
     labeling_from_text,
     labeling_to_text,
     training_database_from_json,
@@ -81,3 +82,26 @@ class TestTrainingJson:
     def test_missing_keys(self):
         with pytest.raises(ParseError):
             training_database_from_json("{}")
+
+
+class TestFactsJson:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"relation": "E", "arguments": ["a", 5]},
+            {"relation": "E", "arguments": ["a", None]},
+            {"relation": "E", "arguments": ["a", ["b"]]},
+            {"relation": "E", "arguments": "ab"},
+            {"relation": 5, "arguments": ["a"]},
+            {"arguments": ["a"]},
+            ["E", "a"],
+        ],
+    )
+    def test_malformed_entry_is_named_by_index(self, entry):
+        valid = {"relation": "E", "arguments": ["a", "b"]}
+        with pytest.raises(ParseError, match="entry 1 "):
+            facts_from_json([valid, entry])
+
+    def test_facts_must_be_a_list(self):
+        with pytest.raises(ParseError, match="list of facts"):
+            facts_from_json({"relation": "E", "arguments": ["a"]})

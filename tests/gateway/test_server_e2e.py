@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.languages import BoundedAtomsCQ, GhwClass
 from repro.core.pipeline import FeatureEngineeringSession
 from repro.data import bitset
@@ -331,6 +332,49 @@ def test_error_statuses(premium_artifact_path):
     assert "error" in results["bad_json"][1]
 
 
+def test_malformed_bodies_fail_alone_in_their_micro_batch(
+    premium_artifact_path,
+):
+    registry = ModelRegistry()
+    registry.register("premium", premium_artifact_path)
+    bodies = [
+        json.dumps({"facts": facts_to_json(premium_eval(3, 5))}).encode(),
+        json.dumps({"facts": facts_to_json(premium_eval(2, 9))}).encode(),
+        json.dumps({"facts": [{"relation": "eta", "arguments": [7]}]}).encode(),
+        b"\xff",  # not UTF-8
+        b"[" * 100_000,  # nested past the JSON decoder's recursion limit
+    ]
+
+    async def scenario(gateway, client):
+        clients = [
+            await HttpClient(gateway.host, gateway.port).connect()
+            for _ in bodies
+        ]
+        try:
+            responses = await asyncio.gather(
+                *(
+                    c.request("POST", "/v1/predict?model=premium", body)
+                    for c, body in zip(clients, bodies)
+                )
+            )
+        finally:
+            for c in clients:
+                await c.close()
+        _, metrics = await client.get_json("/metrics")
+        return responses, metrics["gateway"]["lanes"]["premium@1"]
+
+    responses, lane = serve(
+        registry, scenario, max_batch=16, batch_window=0.05
+    )
+    assert lane["batches"] == 1  # all five shared one micro-batch
+    statuses = [status for status, _, _ in responses]
+    replies = [json.loads(raw) for _, _, raw in responses]
+    assert statuses == [200, 200, 400, 400, 400]
+    assert replies[0]["labels"] and replies[1]["labels"]
+    assert "entry 0" in replies[2]["error"]
+    assert all("invalid JSON body" in reply["error"] for reply in replies[3:])
+
+
 def test_unversioned_single_model_needs_no_query(premium_artifact_path):
     registry = ModelRegistry()
     registry.register("premium", premium_artifact_path)
@@ -405,6 +449,90 @@ def test_stream_op_errors_are_reported_in_band(premium_artifact_path):
     assert status == 200  # stream started; the error travels in-band
     assert len(lines) == 1
     assert "predict before init" in lines[0]["error"]
+
+
+def test_stream_body_errors_keep_their_status(premium_artifact_path):
+    """A body that breaks before any reply line is a plain 4xx, no retry."""
+    registry = ModelRegistry()
+    registry.register("premium", premium_artifact_path)
+    oversized = b'{"op": "predict"}\n' * 8
+
+    async def scenario(gateway, client):
+        answers = {}
+        for name, body in [
+            ("bad_json", b"not json\n"),
+            ("no_length", None),
+            ("over_cap", oversized),
+        ]:
+            fresh = await HttpClient(gateway.host, gateway.port).connect()
+            try:
+                answers[name] = await fresh.request(
+                    "POST", "/v1/stream?model=premium", body
+                )
+            finally:
+                await fresh.close()
+        return answers
+
+    answers = serve(registry, scenario, max_body=len(oversized) - 1)
+    expected = {"bad_json": 400, "no_length": 411, "over_cap": 413}
+    for name, status in expected.items():
+        got, headers, raw = answers[name]
+        assert got == status, (name, raw)
+        assert "retry-after" not in headers
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(raw)
+
+
+# ----------------------------------------------------------------------
+# One wire format: `repro predict` and the gateway reply alike
+# ----------------------------------------------------------------------
+
+
+def _cli_replies(capsys, path, *flags):
+    assert cli_main(["predict", str(path), *flags]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_cli_and_gateway_reply_alike(premium_artifact_path, tmp_path, capsys):
+    """A request file and an op file get the same reply objects from
+    ``repro predict`` as from ``/v1/predict_batch`` and ``/v1/stream``."""
+    requests = [
+        {"id": "first", "facts": facts_to_json(premium_eval(3, 5))},
+        {"id": 2, "facts": facts_to_json(premium_eval(2, 9))},
+    ]
+    ops = [
+        {"op": "init", "facts": facts_to_json(premium_eval(4, 5))},
+        {"op": "predict", "id": "before"},
+        {"op": "delta", "add": facts_to_json(premium_eval(2, 17))},
+        {"op": "predict"},  # the id defaults to the line number
+    ]
+    request_lines = "".join(json.dumps(request) + "\n" for request in requests)
+    op_lines = "".join(json.dumps(op) + "\n" for op in ops)
+    (tmp_path / "requests.jsonl").write_text(request_lines)
+    (tmp_path / "ops.jsonl").write_text(op_lines)
+    model = ("--model", premium_artifact_path)
+    cli_batch = _cli_replies(capsys, tmp_path / "requests.jsonl", *model)
+    cli_stream = _cli_replies(
+        capsys, tmp_path / "ops.jsonl", *model, "--stream"
+    )
+    registry = ModelRegistry()
+    registry.register("premium", premium_artifact_path)
+
+    async def scenario(gateway, client):
+        batch = await client.post_json(
+            "/v1/predict_batch?model=premium", {"requests": requests}
+        )
+        status, _, raw = await client.request(
+            "POST", "/v1/stream?model=premium", op_lines.encode()
+        )
+        lines = [json.loads(line) for line in raw.splitlines() if line]
+        return batch, (status, lines)
+
+    (batch_status, batch), (stream_status, stream) = serve(registry, scenario)
+    assert batch_status == 200 and stream_status == 200
+    assert batch["results"] == cli_batch
+    assert stream == cli_stream
+    assert [(r["id"], r["version"]) for r in stream] == [("before", 0), (4, 1)]
 
 
 # ----------------------------------------------------------------------

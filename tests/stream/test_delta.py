@@ -149,6 +149,12 @@ class TestJsonCodec:
         with pytest.raises(ParseError, match="JSON object"):
             Delta.from_json_dict([1, 2])
 
+    def test_non_string_argument_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="entry 0"):
+            Delta.from_json_dict(
+                {"add": [{"relation": "R", "arguments": ["a", 5]}]}
+            )
+
     def test_ambiguous_delta_surfaces_as_parse_error(self):
         payload = {
             "add": [{"relation": "R", "arguments": ["a"]}],

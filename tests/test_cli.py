@@ -398,6 +398,33 @@ class TestPredictCommand:
         assert main(["predict", "-", "--model", model_file]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
 
+    def test_non_string_fact_argument_exits_2(
+        self, model_file, tmp_path, capsys
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"id": "r1", "facts": [{"relation": "E", "arguments": ["f", 5]}]}\n'
+        )
+        code = main(["predict", str(requests), "--model", model_file])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: request line 1: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_bare_facts_list_line(
+        self, model_file, requests_file, tmp_path, capsys
+    ):
+        import json
+
+        first = json.loads(open(requests_file).read().splitlines()[0])
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("\n" + json.dumps(first["facts"]) + "\n")
+        assert main(["predict", str(bare), "--model", model_file]) == 0
+        labels = self._labels(capsys.readouterr().out)
+        assert main(["predict", requests_file, "--model", model_file]) == 0
+        # A bare facts list is a request whose id is its line number.
+        assert labels == {2: self._labels(capsys.readouterr().out)["r1"]}
+
 
 class TestClassifyFromModel:
     def test_model_route_matches_refit(
