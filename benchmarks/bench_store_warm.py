@@ -3,15 +3,16 @@
 A process restart normally rebuilds everything the last process already
 computed: every feature query's plan is recompiled and every statistic
 column refit from scratch.  With a ``repro.store`` root on disk, a fresh
-engine starts *hot* — plans decode instead of compiling and memoized
-answers load instead of re-deriving.  This bench simulates the restart
-(two engines over one store root, cold then warm) on paper-scale retail
-and molecules workloads, on both backends, asserting the indicator
-matrices are **bit-identical** before any timing claim, that the warm
-start compiles at least 5x fewer plans and refits zero statistics (zero
-hom checks, zero vectorized sweeps), and that the warm wall-clock beats
-cold by the floor.  A second leg tampers with a stored answer and proves
-the corrupt entry is quarantined and recomputed — never served.
+engine starts *hot* — memoized answers load instead of re-deriving, so
+the warm engine has no query left to compile a plan for.  This bench
+simulates the restart (two engines over one store root, cold then warm)
+on paper-scale retail and molecules workloads, on both backends,
+asserting the indicator matrices are **bit-identical** before any timing
+claim, that the warm start compiles at least 5x fewer plans and refits
+zero statistics (zero hom checks, zero vectorized sweeps), and that the
+warm wall-clock beats cold by the floor.  A second leg tampers with a
+stored answer and proves the corrupt entry is quarantined and recomputed
+— never served.
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 
 Simulates the restart story end to end with real subprocesses:
 
-1. ``repro train --store --publish`` builds a model, publishes it into
-   the store, and warms the plan cache; the process then *exits* (the
-   "kill" — nothing survives but the store directory).
+1. ``repro train --store --publish`` builds a model and publishes it
+   into the store; the process then *exits* (the "kill" — nothing
+   survives but the store directory).
 2. ``repro predict --store`` runs twice in fresh processes.  The second
-   run must prove it started hot: byte-identical predictions, nonzero
-   store memo hits, and **zero** plan compilations in its metrics.
+   run must prove it answered from the store: predictions byte-identical
+   to the first run's and to a store-less run's, nonzero store memo hits,
+   and **zero** hom checks, backtrack nodes and vectorized sweeps in its
+   metrics.  The store holds no compiled plans (no ``objects/plan``):
+   every process compiles its own.
 3. ``repro serve --store`` boots the gateway purely from the store (no
    artifact files on the command line), serves one prediction over HTTP
    that matches a direct in-process InferenceService, reports nonzero
@@ -78,7 +81,7 @@ def main() -> None:
             + "\n"
         )
 
-    # 1. Train, publish, warm the store — then the process dies.
+    # 1. Train and publish into the store — then the process dies.
     train = run([
         "train", TRAIN_PATH, "--language", "cqm", "--m", "3",
         "--backend", BACKEND, "--store", STORE, "--publish", "retail",
@@ -95,14 +98,21 @@ def main() -> None:
         "predict", REQUESTS_PATH, "--model", MODEL_PATH,
         "--backend", BACKEND, "--store", STORE, "--metrics",
     ])
+    storeless = run([
+        "predict", REQUESTS_PATH, "--model", MODEL_PATH,
+        "--backend", BACKEND,
+    ])
     assert first.stdout == second.stdout, "warm run changed predictions"
-    metrics = json.loads(second.stderr)
-    store_stats = metrics["engine"]["store"]
+    assert storeless.stdout == first.stdout, "store changed predictions"
+    engine = json.loads(second.stderr)["engine"]
+    store_stats = engine["store"]
     assert store_stats["memo_hits"] > 0, store_stats
-    assert metrics["engine"]["plan_compilations"] == 0, metrics["engine"]
+    for counter in ("hom_checks", "backtrack_nodes", "vectorized_sweeps"):
+        assert engine[counter] == 0, engine
+    assert not os.path.exists(os.path.join(STORE, "objects", "plan"))
     print(
         f"warm predict OK: memo_hits={store_stats['memo_hits']} "
-        f"plan_compilations=0"
+        "hom_checks=0 backtrack_nodes=0 vectorized_sweeps=0 no plan entries"
     )
 
     # 3. A store-backed gateway restart: models come from the store root.

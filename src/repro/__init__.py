@@ -15,8 +15,8 @@ full surface:
 - :mod:`repro.serve` — pickle-free model artifacts and batched inference serving.
 - :mod:`repro.stream` — deltas, evolving databases, incremental classification.
 - :mod:`repro.gateway` — asyncio HTTP serving tier with batching and a registry.
-- :mod:`repro.store` — content-addressed warm-state persistence (plans,
-  memoized answers, published models) for hot process restarts.
+- :mod:`repro.store` — content-addressed warm-state persistence (memoized
+  answers, published models) for hot process restarts.
 """
 
 from repro.cq import CQ, Atom, Variable, parse_cq

@@ -109,7 +109,7 @@ def _add_store_option(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=None,
         metavar="PATH",
-        help="warm-state store root: compiled plans and memoized answers "
+        help="warm-state store root: memoized answers and published models "
         "persist there across process restarts (created on first use)",
     )
 
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     store = commands.add_parser(
         "store",
         help="inspect and maintain a warm-state store "
-        "(plans, answers, published models)",
+        "(answers, published models)",
     )
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_ls = store_commands.add_parser(
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rm", help="remove one entry by kind and digest"
     )
     store_rm.add_argument("root", help="store root directory")
-    store_rm.add_argument("kind", help="entry kind (plan, answer, model)")
+    store_rm.add_argument("kind", help="entry kind (answer, model)")
     store_rm.add_argument("digest", help="entry digest (from 'store ls')")
 
     qbe = commands.add_parser(
@@ -442,33 +442,23 @@ def _run_train(args: argparse.Namespace) -> int:
             f"wrote {args.out}: dimension {artifact.dimension}, "
             f"{artifact.checksum()}"
         )
-    if args.store is not None:
-        # Warm the store with the model's compiled plans: fitting runs on
-        # the process-default engine, so a restarted `predict --store` /
-        # `serve --store` would otherwise still pay the first compile.
-        from repro.serve import InferenceService
+    if args.publish is not None:
+        from repro.store import ContentStore, ModelStore
 
-        with InferenceService(
-            artifact, backend=args.backend, store=args.store
-        ) as warmer:
-            warmer.warm_up()
-        if args.publish is not None:
-            from repro.store import ContentStore, ModelStore
-
-            name, at, version = args.publish.partition("@")
-            if not name or (at and not version):
-                raise ParseError(
-                    f"malformed --publish {args.publish!r} "
-                    "(expected NAME[@VERSION])"
-                )
-            model_store = ModelStore(ContentStore(args.store))
-            published = model_store.publish(
-                name, artifact, version=version if at else None
+        name, at, version = args.publish.partition("@")
+        if not name or (at and not version):
+            raise ParseError(
+                f"malformed --publish {args.publish!r} "
+                "(expected NAME[@VERSION])"
             )
-            print(
-                f"published {name}@{published} to {args.store}: "
-                f"dimension {artifact.dimension}, {artifact.checksum()}"
-            )
+        model_store = ModelStore(ContentStore(args.store))
+        published = model_store.publish(
+            name, artifact, version=version if at else None
+        )
+        print(
+            f"published {name}@{published} to {args.store}: "
+            f"dimension {artifact.dimension}, {artifact.checksum()}"
+        )
     return 0
 
 

@@ -102,8 +102,7 @@ class FeatureEngineeringSession:
     store:
         Optional warm-state store (path string or an open store object)
         for the session's classification engine and any session-owned
-        worker pool: compiled plans and memoized answers persist across
-        process restarts.  Giving a store forces a session-private engine
+        worker pool: memoized answers persist across process restarts.  Giving a store forces a session-private engine
         even on the default backend (the process-default engine stays
         store-less).
     """

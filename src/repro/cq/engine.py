@@ -129,8 +129,7 @@ class EngineCounters:
     evaluations answered by the numpy-bitset backend (always 0 on
     ``backend="python"`` engines); ``plan_compilations`` counts
     :meth:`QueryPlan.compile` runs actually performed (a plan served from
-    the warm-state store or the plan LRU does not count — the warm-start
-    benchmark's headline figure).
+    the plan LRU does not count).
     """
 
     __slots__ = ("search", "cover_games", "vectorized_sweeps",
@@ -295,9 +294,11 @@ class EvaluationEngine:
     store:
         Optional warm-state store (a path string,
         :class:`~repro.store.ContentStore`, or
-        :class:`~repro.store.WarmStore`).  When set, compiled plans and
-        memoized answers are persisted to disk and consulted on LRU
-        misses, so a fresh process against the same store starts hot.
+        :class:`~repro.store.WarmStore`).  When set, memoized answers are
+        persisted to disk and consulted on LRU misses, so a fresh process
+        against the same store answers without evaluating.  Compiled plans
+        are not persisted: compiling one from its query is cheaper than
+        decoding it.
         Results are bit-identical with or without a store: every loaded
         entry is checksum-verified and decode-validated, and anything
         suspect is quarantined and recomputed.  Default ``None`` keeps the
@@ -447,24 +448,15 @@ class EvaluationEngine:
         Compiled at most once per query (LRU-cached by the query alone —
         plans never depend on a target database).  Hits and misses appear
         under ``"plans"`` in :meth:`cache_details` and are folded into
-        :meth:`cache_info`.  With a warm-state store attached, an LRU miss
-        consults the store before compiling (``plan_compilations`` counts
-        only actual compiles), and every fresh compile is persisted.
+        :meth:`cache_info`.
         """
         cached = self._plan_cache.lookup(query)
         if cached is not _LRUCache._MISSING:
             return cached
-        if self.store is not None:
-            plan = self.store.load_plan(query, self.backend)
-            if plan is not None:
-                self._plan_cache.store(query, plan)
-                return plan
         from repro.cq.plan import QueryPlan
 
         plan = QueryPlan.compile(query)
         self.counters.plan_compilations += 1
-        if self.store is not None:
-            self.store.save_plan(query, plan, self.backend)
         self._plan_cache.store(query, plan)
         return plan
 
@@ -970,8 +962,6 @@ class EvaluationEngine:
             "cache_invalidated": info.invalidated,
         }
         if self.store is not None:
-            snapshot["store_plan_hits"] = self.store.plan_hits
-            snapshot["store_plan_misses"] = self.store.plan_misses
             snapshot["store_memo_hits"] = self.store.memo_hits
             snapshot["store_memo_misses"] = self.store.memo_misses
         return snapshot

@@ -347,8 +347,8 @@ class CQ:
 
         Hashes the canonical rule text (``str(self)``; atoms are sorted at
         construction), so a query and its parsed round-trip share a
-        digest.  The query half of the warm-state store's plan and memo
-        keys (:mod:`repro.store`); scheme shared with artifact checksums
+        digest.  The query half of the warm-state store's memo keys
+        (:mod:`repro.store`); scheme shared with artifact checksums
         via :mod:`repro.data.digest`.
         """
         if self._digest is None:

@@ -3,8 +3,8 @@
 One hashing discipline for the whole library: a payload is reduced to its
 *canonical dump* (JSON with sorted keys, compact separators, ASCII-only)
 and digested with SHA-256.  :mod:`repro.serve.artifact` checksums model
-files this way, and :mod:`repro.store` keys every persisted plan, memoized
-answer, and model version by the same scheme — so an artifact checksum and
+files this way, and :mod:`repro.store` keys every memoized answer and
+model version by the same scheme — so an artifact checksum and
 a store key are directly comparable, and equal content always collides
 onto one entry.
 

@@ -125,8 +125,8 @@ class ModelRegistry:
         Every model already published in the store is registered at
         construction and loads lazily *from the store*; default-version
         pins persist back; and every loaded service evaluates through the
-        store, so plans and answers warmed by one gateway process are hot
-        in the next.
+        store, so answers memoized by one gateway process are hot in the
+        next.
     """
 
     def __init__(

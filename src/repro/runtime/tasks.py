@@ -81,8 +81,9 @@ def initialize_worker(
     (``"python"``/``"numpy"``; ``None`` keeps the engine default), so a
     parallel fill runs the same backend in every worker as the parent
     engine would serially.  ``store_path`` attaches the warm-state store
-    at that root to the worker engine — workers then pull persisted plans
-    instead of compiling, and contribute their computed answers back.
+    at that root to the worker engine — workers then load persisted
+    answers instead of evaluating, and contribute their computed answers
+    back.
     """
     kwargs: Dict[str, Any] = {}
     if cache_size is not None:

@@ -78,10 +78,11 @@ class InferenceService:
         :class:`~repro.store.ContentStore`, or
         :class:`~repro.store.WarmStore`) attached to the service-owned
         engine and — as a path — to any service-owned worker pool.  A
-        restarted service against the same store pulls its compiled plans
-        and memoized answers from disk at :meth:`warm_up` instead of
-        recomputing them.  Ignored when an explicit ``engine`` is given
-        (attach the store to that engine instead).
+        restarted service against the same store loads each request's
+        memoized answers from disk on first use instead of recomputing
+        them; :meth:`warm_up` still compiles the plans in memory.  Ignored
+        when an explicit ``engine`` is given (attach the store to that
+        engine instead).
     """
 
     def __init__(

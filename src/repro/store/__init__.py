@@ -1,18 +1,18 @@
-"""Disk-backed content-addressed warm-state store (plans, answers, models).
+"""Disk-backed content-addressed warm-state store (answers and models).
 
-The persistence tier that turns the library's per-process wins — compiled
-:class:`~repro.cq.plan.QueryPlan`\\ s, memoized query answers, validated
-model artifacts — into durable ones: a process restarting against the
-same store root starts *hot*.
+The persistence tier that turns two of the library's per-process wins —
+memoized query answers and validated model artifacts — into durable ones:
+a process restarting against the same store root starts *hot*.  Compiled
+plans are not persisted; a process compiles them from the queries faster
+than it could decode them.
 
 - :class:`ContentStore` — the object layer: sharded JSON envelopes keyed
   by SHA-256 digests of canonical key payloads, atomic write-then-rename,
   checksum-verified reads with quarantine-and-recompute on corruption,
   versioned envelopes with a forward-compatibility gate, and LRU GC.
-- :class:`WarmStore` — the engine-facing facade: plan cache (keyed by
-  query digest × backend × format version) and memo cache (keyed by query
-  digest × database digest), with hit/miss accounting and relation-scoped
-  invalidation mirroring ``apply_delta``.
+- :class:`WarmStore` — the engine-facing facade: memo cache (keyed by
+  query digest × database digest), with hit/miss accounting and
+  relation-scoped invalidation mirroring ``apply_delta``.
 - :class:`ModelStore` — the persistent model registry backend: publish /
   enumerate / load / default-pin model versions, making the gateway's
   rollout and rollback survive restarts.
@@ -26,13 +26,10 @@ discipline as model-artifact checksums (:mod:`repro.data.digest`).
 
 from repro.store.codec import (
     ANSWER_FORMAT,
-    PLAN_FORMAT,
     CodecError,
     UnencodableAnswer,
     decode_answer,
-    decode_plan,
     encode_answer,
-    encode_plan,
 )
 from repro.store.content import (
     STORE_FORMAT,
@@ -46,7 +43,6 @@ from repro.store.warm import WarmStore, open_store
 __all__ = [
     "STORE_FORMAT",
     "STORE_VERSION",
-    "PLAN_FORMAT",
     "ANSWER_FORMAT",
     "ContentStore",
     "StoreEntry",
@@ -55,8 +51,6 @@ __all__ = [
     "open_store",
     "CodecError",
     "UnencodableAnswer",
-    "encode_plan",
-    "decode_plan",
     "encode_answer",
     "decode_answer",
 ]

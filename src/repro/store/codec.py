@@ -1,27 +1,13 @@
-"""Codecs between engine objects and store payloads (plain JSON).
+"""The answer codec between the engine and store payloads (plain JSON).
 
-Two families of entries ride the content store:
+Answers (kind ``"answer"``) are memoized ``q(D)`` results, keyed by
+``(query digest, database digest)``.  Rows serialize as type-tagged
+element tokens (``["i", 1]`` vs ``["s", "1"]`` — the digest module's
+discipline), and only JSON-native elements round-trip; an answer over
+exotic elements raises :class:`UnencodableAnswer` and is simply not
+persisted (correctness is unaffected — the entry is recomputed).
 
-- **Plans** (kind ``"plan"``): a compiled
-  :class:`~repro.cq.plan.QueryPlan`'s homomorphism program, keyed by
-  ``(query digest, backend, plan format version)``.  For a CQ plan every
-  program element is a :class:`~repro.cq.terms.Variable` (the canonical
-  database's domain *is* the variable set), so the arrays serialize by
-  variable name and decode against the live query object — the payload
-  never round-trips a Database.  Structured (Yannakakis) and vectorized
-  programs are *not* serialized: both recompile deterministically from
-  the query in microseconds, and the numpy-backend descriptor simply
-  records that its plan carries a vectorized program, which
-  :func:`decode_plan` eagerly recompiles.
-
-- **Answers** (kind ``"answer"``): a memoized ``q(D)`` result, keyed by
-  ``(query digest, database digest)``.  Rows serialize as type-tagged
-  element tokens (``["i", 1]`` vs ``["s", "1"]`` — the digest module's
-  discipline), and only JSON-native elements round-trip; an answer over
-  exotic elements raises :class:`UnencodableAnswer` and is simply not
-  persisted (correctness is unaffected — the entry is recomputed).
-
-Both decoders are *strict in effect, lenient in failure mode*: a payload
+The decoder is *strict in effect, lenient in failure mode*: a payload
 that does not decode (hand-edited file that still checksums, an older
 codec shape) raises :class:`CodecError`, which the warm facade treats as
 a miss-and-recompute, never as data.
@@ -31,24 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.cq.query import CQ
-from repro.cq.terms import Variable
 from repro.exceptions import StoreError
 
 __all__ = [
-    "PLAN_FORMAT",
     "ANSWER_FORMAT",
     "CodecError",
     "UnencodableAnswer",
-    "encode_plan",
-    "decode_plan",
     "encode_answer",
     "decode_answer",
 ]
-
-#: Version of the plan payload shape; part of the plan key, so a codec
-#: change cleanly misses old entries instead of misdecoding them.
-PLAN_FORMAT = 1
 
 #: Version of the answer payload shape; part of the memo key.
 ANSWER_FORMAT = 1
@@ -63,7 +40,7 @@ class UnencodableAnswer(StoreError):
 
 
 # ----------------------------------------------------------------------
-# Element tokens (answers: int/str/bool only; plans: variables by name)
+# Element tokens (int/str/bool only)
 # ----------------------------------------------------------------------
 
 
@@ -95,104 +72,6 @@ def _decode_element(token: Any) -> Any:
     if tag == "s" and isinstance(value, str):
         return value
     raise CodecError(f"element token {token!r} tag/value mismatch")
-
-
-def _encode_variable(element: Any) -> str:
-    if not isinstance(element, Variable):
-        raise CodecError(
-            f"plan program element {element!r} is not a Variable; "
-            "only CQ plans are persisted"
-        )
-    return element.name
-
-
-# ----------------------------------------------------------------------
-# Plans
-# ----------------------------------------------------------------------
-
-
-def encode_plan(plan: Any) -> Dict[str, Any]:
-    """Serialize a :class:`~repro.cq.plan.QueryPlan`'s program arrays."""
-    program = plan.program
-    return {
-        "rule": str(plan.query),
-        "seeded": sorted(_encode_variable(v) for v in program.seeded),
-        "signatures": [
-            [_encode_variable(element), [list(pair) for pair in signature]]
-            for element, signature in program._signatures
-        ],
-        "relations": list(program._relations),
-        "slots": [
-            [[_encode_variable(element), bound] for element, bound in slot]
-            for slot in program._slots
-        ],
-        "lookups": [
-            None if lookup is None
-            else [lookup[0], _encode_variable(lookup[1])]
-            for lookup in program._lookups
-        ],
-        "vectorized": plan._vectorized is not None,
-    }
-
-
-def decode_plan(query: CQ, payload: Any) -> Any:
-    """Rebuild a :class:`~repro.cq.plan.QueryPlan` for ``query``.
-
-    The caller looked the payload up under the query's digest; the
-    embedded rule is re-checked anyway so a mis-filed entry decodes to a
-    :class:`CodecError` (treated as a miss), never to a wrong plan.
-    """
-    from repro.cq.plan import HomomorphismProgram, QueryPlan
-
-    if not isinstance(payload, dict):
-        raise CodecError(f"plan payload must be an object, got {payload!r}")
-    if payload.get("rule") != str(query):
-        raise CodecError(
-            f"plan payload is for {payload.get('rule')!r}, not {query!s}"
-        )
-    by_name = {variable.name: variable for variable in query.variables}
-
-    def variable(name: Any) -> Variable:
-        if not isinstance(name, str) or name not in by_name:
-            raise CodecError(f"unknown plan variable {name!r}")
-        return by_name[name]
-
-    try:
-        seeded = frozenset(variable(name) for name in payload["seeded"])
-        signatures = tuple(
-            (
-                variable(name),
-                tuple((str(rel), int(pos)) for rel, pos in pairs),
-            )
-            for name, pairs in payload["signatures"]
-        )
-        relations = tuple(str(name) for name in payload["relations"])
-        slots = tuple(
-            tuple((variable(name), bool(bound)) for name, bound in slot)
-            for slot in payload["slots"]
-        )
-        lookups = tuple(
-            None if lookup is None else (int(lookup[0]), variable(lookup[1]))
-            for lookup in payload["lookups"]
-        )
-        vectorized = bool(payload.get("vectorized", False))
-    except (KeyError, TypeError, ValueError) as error:
-        raise CodecError(f"malformed plan payload: {error}") from error
-    if len(relations) != len(slots) or len(relations) != len(lookups):
-        raise CodecError("plan payload arrays disagree on fact count")
-    if seeded != frozenset(query.free_variables):
-        raise CodecError("plan payload seeded set != query free variables")
-    program = HomomorphismProgram(
-        query.canonical_database, seeded, signatures, relations, slots,
-        lookups,
-    )
-    plan = QueryPlan(query, program)
-    if vectorized:
-        # The descriptor records that this plan carried a vectorized
-        # program; recompiling it here keeps warm numpy engines hot from
-        # the first sweep (compilation reads only the query).
-        plan.vectorized()
-    return plan
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,8 @@ Durability and integrity rules:
   library version raises :class:`~repro.exceptions.StoreError` instead of
   being misread; older versions within the supported range load normally.
 - **LRU GC.**  Reads bump the entry file's mtime, so ``gc`` under an
-  entry-count or byte cap evicts least-recently-used entries first.
+  entry-count or byte cap evicts least-recently-used entries first.  It
+  never evicts a published model: ``refs.json`` would still route to it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ STORE_FORMAT = "repro-store"
 
 #: Current (and only) store format version.
 STORE_VERSION = 1
+
+#: Entry kind of published model artifacts (:mod:`repro.store.models`),
+#: which :meth:`ContentStore.gc` never evicts.
+MODEL_KIND = "model"
 
 _ENVELOPE_KEYS = frozenset(("format", "version", "kind", "key", "payload",
                             "checksum"))
@@ -73,9 +78,6 @@ class ContentStore:
     ----------
     root:
         Store root directory; created (with ``meta.json``) if absent.
-    max_entries / max_bytes:
-        Default caps applied by :meth:`gc` when called without explicit
-        limits.  ``None`` means uncapped.
 
     The store is safe for concurrent writers across processes (atomic
     write-then-rename; identical content converges) and tolerates a
@@ -83,15 +85,8 @@ class ContentStore:
     entry and a recompute, never a wrong answer.
     """
 
-    def __init__(
-        self,
-        root: str,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -149,11 +144,20 @@ class ContentStore:
             directory,
             f".tmp.{os.getpid()}.{next(_tmp_counter)}",
         )
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            # No orphaned temp file: entries() lists only *.json, so gc
+            # would never reclaim one.
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -365,33 +369,32 @@ class ContentStore:
     ) -> Dict[str, Any]:
         """Evict least-recently-used entries beyond the caps.
 
-        Explicit arguments override the store's defaults.  Returns the
-        eviction report (oldest-mtime entries go first; ties break on the
-        deterministic (kind, digest) listing order).
+        ``None`` leaves a cap off.  Published models are never evicted:
+        they still count toward the caps, so a cap below the number of
+        models keeps exactly the models.  Returns the eviction report
+        (oldest-mtime entries go first; ties break on the deterministic
+        (kind, digest) listing order).
         """
-        max_entries = self.max_entries if max_entries is None else max_entries
-        max_bytes = self.max_bytes if max_bytes is None else max_bytes
-        listing = sorted(self.entries(), key=lambda e: (e.mtime, e.kind,
-                                                        e.digest))
+        listing = self.entries()
+        kept = len(listing)
         total_bytes = sum(entry.size for entry in listing)
+        evictable = sorted(
+            (entry for entry in listing if entry.kind != MODEL_KIND),
+            key=lambda e: (e.mtime, e.kind, e.digest),
+        )
         removed: List[str] = []
-        index = 0
-        while index < len(listing):
-            over_entries = (
-                max_entries is not None
-                and len(listing) - index > max_entries
-            )
+        for entry in evictable:
+            over_entries = max_entries is not None and kept > max_entries
             over_bytes = max_bytes is not None and total_bytes > max_bytes
             if not over_entries and not over_bytes:
                 break
-            entry = listing[index]
-            index += 1
             if self.delete(entry.kind, entry.digest):
                 removed.append(f"{entry.kind}/{entry.digest}")
+            kept -= 1
             total_bytes -= entry.size
         return {
             "removed": removed,
-            "kept": len(listing) - index,
+            "kept": kept,
             "bytes": max(total_bytes, 0),
         }
 

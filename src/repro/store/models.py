@@ -24,11 +24,9 @@ from typing import Any, Dict, List, Optional
 from repro.data.digest import canonical_dump
 from repro.exceptions import StoreError
 from repro.serve.artifact import ModelArtifact
-from repro.store.content import ContentStore
+from repro.store.content import MODEL_KIND, ContentStore
 
 __all__ = ["ModelStore"]
-
-MODEL_KIND = "model"
 
 REFS_FORMAT = "repro-store-refs"
 REFS_VERSION = 1

@@ -8,12 +8,10 @@ re-stat'ed on every subsequent lookup of the same query/database pair
 (training loops probe the same misses thousands of times).
 
 Key scheme (all digests are ``sha256:<hex>`` canonical content hashes):
-
-- plan entries: ``{"query": q.digest(), "backend": b, "format": PLAN_FORMAT}``
-- answer entries: ``{"query": q.digest(), "database": D.digest(),
-  "format": ANSWER_FORMAT}`` with the payload also recording the query's
-  mentioned relations, so :meth:`invalidate_database` can drop exactly
-  the entries a relation-scoped delta could have changed.
+answer entries are keyed ``{"query": q.digest(), "database": D.digest(),
+"format": ANSWER_FORMAT}``, with the payload also recording the query's
+mentioned relations, so :meth:`invalidate_database` can drop exactly the
+entries a relation-scoped delta could have changed.
 
 Invalidation discipline: keys are content-addressed, so a delta *never*
 makes a stored answer wrong — the new database has a new digest and
@@ -33,13 +31,10 @@ from repro.data.database import Database
 from repro.exceptions import StoreError
 from repro.store.codec import (
     ANSWER_FORMAT,
-    PLAN_FORMAT,
     CodecError,
     UnencodableAnswer,
     decode_answer,
-    decode_plan,
     encode_answer,
-    encode_plan,
 )
 from repro.store.content import ContentStore
 
@@ -49,18 +44,14 @@ __all__ = ["WarmStore", "open_store"]
 #: (misses then re-probe the disk once — correctness is unaffected).
 _NEGATIVE_CACHE_LIMIT = 65536
 
-PLAN_KIND = "plan"
 ANSWER_KIND = "answer"
 
 
 class WarmStore:
-    """Plan + memo persistence with engine-shaped accounting."""
+    """Memoized-answer persistence with engine-shaped accounting."""
 
     def __init__(self, store: ContentStore) -> None:
         self.store = store
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.plan_saves = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_saves = 0
@@ -78,14 +69,6 @@ class WarmStore:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def plan_key(query: CQ, backend: str) -> Dict[str, Any]:
-        return {
-            "query": query.digest(),
-            "backend": backend,
-            "format": PLAN_FORMAT,
-        }
-
-    @staticmethod
     def answer_key(query: CQ, database: Database) -> Dict[str, Any]:
         return {
             "query": query.digest(),
@@ -93,52 +76,13 @@ class WarmStore:
             "format": ANSWER_FORMAT,
         }
 
-    def _negative_key(self, kind: str, key: Dict[str, Any]) -> str:
-        return f"{kind}:{self.store.key_digest(kind, key)}"
+    def _negative_key(self, key: Dict[str, Any]) -> str:
+        return self.store.key_digest(ANSWER_KIND, key)
 
     def _remember_miss(self, marker: str) -> None:
         if len(self._negative) >= _NEGATIVE_CACHE_LIMIT:
             self._negative.clear()
         self._negative.add(marker)
-
-    # ------------------------------------------------------------------
-    # Plans
-    # ------------------------------------------------------------------
-
-    def load_plan(self, query: CQ, backend: str) -> Optional[Any]:
-        """The persisted :class:`~repro.cq.plan.QueryPlan`, or ``None``.
-
-        A payload that fails to decode counts as a miss; the caller
-        recompiles and the save overwrites the bad entry.
-        """
-        key = self.plan_key(query, backend)
-        marker = self._negative_key(PLAN_KIND, key)
-        if marker in self._negative:
-            self.plan_misses += 1
-            return None
-        payload = self.store.get(PLAN_KIND, key)
-        if payload is None:
-            self.plan_misses += 1
-            self._remember_miss(marker)
-            return None
-        try:
-            plan = decode_plan(query, payload)
-        except CodecError:
-            self.plan_misses += 1
-            return None
-        self.plan_hits += 1
-        return plan
-
-    def save_plan(self, query: CQ, plan: Any, backend: str) -> None:
-        key = self.plan_key(query, backend)
-        try:
-            payload = encode_plan(plan)
-        except CodecError:
-            self.skipped += 1
-            return
-        self.store.put(PLAN_KIND, key, payload)
-        self.plan_saves += 1
-        self._negative.discard(self._negative_key(PLAN_KIND, key))
 
     # ------------------------------------------------------------------
     # Memoized answers
@@ -149,7 +93,7 @@ class WarmStore:
     ) -> Optional[FrozenSet[Tuple[Any, ...]]]:
         """The persisted ``q(D)`` answer set, or ``None`` on a miss."""
         key = self.answer_key(query, database)
-        marker = self._negative_key(ANSWER_KIND, key)
+        marker = self._negative_key(key)
         if marker in self._negative:
             self.memo_misses += 1
             return None
@@ -174,6 +118,11 @@ class WarmStore:
         database: Database,
         answer: FrozenSet[Tuple[Any, ...]],
     ) -> None:
+        """Persist a ``q(D)`` answer set.
+
+        An answer that does not encode, or whose write fails (a full
+        disk), is counted in ``skipped`` instead of raising.
+        """
         key = self.answer_key(query, database)
         try:
             encoded = encode_answer(answer)
@@ -184,9 +133,14 @@ class WarmStore:
             "answer": encoded,
             "relations": sorted(query.mentioned_relations()),
         }
-        self.store.put(ANSWER_KIND, key, payload)
+        try:
+            self.store.put(ANSWER_KIND, key, payload)
+        except OSError:
+            # The caller already holds the answer; a later miss recomputes.
+            self.skipped += 1
+            return
         self.memo_saves += 1
-        self._negative.discard(self._negative_key(ANSWER_KIND, key))
+        self._negative.discard(self._negative_key(key))
 
     def invalidate_database(
         self, database: Database, touched_relations: Iterable[str]
@@ -224,9 +178,6 @@ class WarmStore:
         """JSON-safe accounting (metrics snapshots, CLI ``--metrics``)."""
         merged = dict(self.store.stats())
         merged.update(
-            plan_hits=self.plan_hits,
-            plan_misses=self.plan_misses,
-            plan_saves=self.plan_saves,
             memo_hits=self.memo_hits,
             memo_misses=self.memo_misses,
             memo_saves=self.memo_saves,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -151,3 +152,21 @@ def test_missing_store_version_surfaces_as_store_error(published):
         # The registry stays usable for the surviving version.
         with registry.acquire("premium", "1") as lease:
             assert lease.service.metrics.warmups == 1
+
+
+def test_gc_never_evicts_a_published_model(published):
+    store = ContentStore(published)
+    for entry in store.entries():  # both models, oldest on the LRU clock
+        os.utime(entry.path, (1000.0, 1000.0))
+    for index in range(3):
+        store.put("answer", {"q": index}, {"rows": []})
+
+    report = store.gc(max_entries=1)
+    # Models count toward the cap but are never evicted.
+    assert report["kept"] == 2
+    assert [name.split("/")[0] for name in report["removed"]] == [
+        "answer"
+    ] * 3
+    with ModelRegistry(store=published) as registry:
+        with registry.acquire("premium", "2") as lease:
+            assert lease.service.predict(premium_eval(3, 5)) is not None

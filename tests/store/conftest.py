@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from repro.core.languages import BoundedAtomsCQ
@@ -13,6 +16,17 @@ from repro.workloads.retail import retail_database
 @pytest.fixture
 def store(tmp_path) -> ContentStore:
     return ContentStore(str(tmp_path / "store"))
+
+
+@pytest.fixture
+def full_disk(store, monkeypatch) -> ContentStore:
+    """``store``, opened, on a disk where every later fsync hits ENOSPC."""
+
+    def fsync(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return store
 
 
 @pytest.fixture(scope="package")

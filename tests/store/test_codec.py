@@ -1,104 +1,15 @@
-"""Plan/answer codecs: differential round-trips and strict failure modes."""
+"""Answer codec: round-trips and strict failure modes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cq import parse_cq
-from repro.cq.plan import QueryPlan
 from repro.store import (
     CodecError,
     UnencodableAnswer,
     decode_answer,
-    decode_plan,
     encode_answer,
-    encode_plan,
 )
-
-PATH_RULE = "q(x) :- E(x, y), E(y, z), eta(x)"
-
-
-def _answers(plan, database):
-    """q(D) computed by running the plan's program per candidate entity."""
-    free = next(iter(plan.query.free_variables))
-    return frozenset(
-        element
-        for (element,) in database.tuples_of("eta")
-        if plan.program.run(database, {free: element})
-    )
-
-
-# ----------------------------------------------------------------------
-# Plans
-# ----------------------------------------------------------------------
-
-
-def test_plan_round_trip_is_behaviorally_identical(path_database):
-    query = parse_cq(PATH_RULE)
-    compiled = QueryPlan.compile(query)
-    payload = encode_plan(compiled)
-    # Decode against a *fresh* parse, as a warm process restart would.
-    fresh = parse_cq(PATH_RULE)
-    decoded = decode_plan(fresh, payload)
-    assert _answers(decoded, path_database) == _answers(
-        compiled, path_database
-    )
-    assert _answers(decoded, path_database) == frozenset({"a"})
-
-
-def test_plan_payload_is_json_native():
-    import json
-
-    query = parse_cq(PATH_RULE)
-    payload = encode_plan(QueryPlan.compile(query))
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["vectorized"] is False
-
-
-def test_vectorized_flag_recompiles_eagerly():
-    pytest.importorskip("numpy")
-    query = parse_cq(PATH_RULE)
-    plan = QueryPlan.compile(query)
-    plan.vectorized()
-    payload = encode_plan(plan)
-    assert payload["vectorized"] is True
-    decoded = decode_plan(parse_cq(PATH_RULE), payload)
-    assert decoded._vectorized is not None
-
-
-def test_plan_rule_mismatch_is_a_codec_error():
-    payload = encode_plan(QueryPlan.compile(parse_cq(PATH_RULE)))
-    other = parse_cq("q(x) :- E(x, y), eta(x)")
-    with pytest.raises(CodecError, match="is for"):
-        decode_plan(other, payload)
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda p: p.update(seeded=["nosuch"]),
-        lambda p: p.update(relations=p["relations"][:-1]),
-        lambda p: p.update(slots="not-a-list"),
-        lambda p: p.pop("lookups"),
-        lambda p: p.update(signatures=[["x", [["E", "zero"]]]]),
-    ],
-)
-def test_malformed_plan_payloads_are_codec_errors(corrupt):
-    query = parse_cq(PATH_RULE)
-    payload = encode_plan(QueryPlan.compile(query))
-    corrupt(payload)
-    with pytest.raises(CodecError):
-        decode_plan(parse_cq(PATH_RULE), payload)
-
-
-def test_non_dict_plan_payload_is_a_codec_error():
-    with pytest.raises(CodecError, match="must be an object"):
-        decode_plan(parse_cq(PATH_RULE), ["not", "a", "dict"])
-
-
-# ----------------------------------------------------------------------
-# Answers
-# ----------------------------------------------------------------------
 
 
 def test_answer_round_trip():

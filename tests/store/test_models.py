@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
@@ -76,6 +77,18 @@ def test_remove_repoints_default(model_store, retail_artifact):
     assert model_store.remove("retail") == 1  # drop the rest
     assert model_store.models() == {}
     assert model_store.remove("retail") == 0
+
+
+def test_publish_on_a_full_disk_raises_and_leaves_no_temp_file(
+    full_disk, retail_artifact
+):
+    model_store = ModelStore(full_disk)
+    with pytest.raises(OSError):
+        model_store.publish("retail", retail_artifact)
+    assert glob.glob(
+        os.path.join(full_disk.root, "**", ".tmp.*"), recursive=True
+    ) == []
+    assert model_store.models() == {}
 
 
 def test_load_missing_version_is_a_store_error(model_store, retail_artifact):

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.cq import parse_cq
 from repro.cq.engine import EvaluationEngine
 from repro.data import Database
 from repro.store import ContentStore
-from repro.store.warm import WarmStore, open_store
+from repro.store.warm import open_store
 
 PATH_RULE = "q(x) :- E(x, y), E(y, z), eta(x)"
 ETA_RULE = "q(x) :- eta(x)"
@@ -57,24 +59,10 @@ def test_warm_numpy_engine_matches_python(tmp_path, path_database):
     assert warm_work["plan_compilations"] == 0
     assert warm_work["vectorized_sweeps"] == 0
     assert warm_work["store_memo_hits"] == 1
-    # Backends share the memo (keys carry the backend only for plans).
+    # Backends share the memo: answer keys do not name the backend.
     python_answer, python_work, _ = _evaluate(root, path_database)
     assert python_answer == cold_answer
     assert python_work["store_memo_hits"] == 1
-
-
-def test_plan_cache_warms_across_processes(tmp_path, path_database):
-    root = _warm_root(tmp_path)
-    query = parse_cq(PATH_RULE)
-    cold = EvaluationEngine(backend="python", store=root)
-    cold.plan_for(query)
-    assert cold.counters.plan_compilations == 1
-
-    warm = EvaluationEngine(backend="python", store=root)
-    plan = warm.plan_for(parse_cq(PATH_RULE))
-    assert warm.counters.plan_compilations == 0
-    assert warm.store.plan_hits == 1
-    assert str(plan.query) == str(query)
 
 
 def test_lru_takes_precedence_over_store(tmp_path, path_database):
@@ -86,6 +74,46 @@ def test_lru_takes_precedence_over_store(tmp_path, path_database):
     assert engine.store.memo_hits == 1
     engine.evaluate(query, path_database)  # in-memory LRU, no disk re-read
     assert engine.store.memo_hits == 1
+
+
+def test_root_with_legacy_plan_entries_still_serves(tmp_path, path_database):
+    root = _warm_root(tmp_path)
+    cold_answer, _, _ = _evaluate(root, path_database)
+    # A compiled-plan entry exactly as earlier releases persisted it.  No
+    # reader asks for kind "plan" any more, so it must be inert.
+    ContentStore(root).put(
+        "plan",
+        {
+            "query": parse_cq(PATH_RULE).digest(),
+            "backend": "python",
+            "format": 1,
+        },
+        {
+            "rule": PATH_RULE,
+            "seeded": ["x"],
+            "signatures": [
+                ["x", [["E", 0], ["eta", 0]]],
+                ["y", [["E", 0], ["E", 1]]],
+                ["z", [["E", 1]]],
+            ],
+            "relations": ["eta", "E", "E"],
+            "slots": [
+                [["x", True]],
+                [["x", True], ["y", False]],
+                [["y", True], ["z", False]],
+            ],
+            "lookups": [[0, "x"], [0, "x"], [0, "y"]],
+            "vectorized": False,
+        },
+    )
+    assert main(["store", "verify", root]) == 0
+
+    answer, work, _ = _evaluate(root, path_database)
+    assert answer == cold_answer
+    assert work["store_memo_hits"] == 1
+    assert work["hom_checks"] == 0
+    plans = glob.glob(os.path.join(root, "objects", "plan", "*", "*"))
+    assert len(plans) == 1  # untouched
 
 
 # ----------------------------------------------------------------------
@@ -129,27 +157,6 @@ def test_tampered_answer_is_quarantined_and_recomputed(
     healed_answer, healed_work, _ = _evaluate(root, path_database)
     assert healed_answer == cold_answer
     assert healed_work["store_memo_hits"] == 1
-
-
-def test_tampered_plan_misses_and_recompiles(tmp_path, path_database):
-    root = _warm_root(tmp_path)
-    cold = EvaluationEngine(backend="python", store=root)
-    cold.plan_for(parse_cq(PATH_RULE))
-
-    # Hand-edit the plan payload but keep the envelope checksum valid:
-    # this exercises the codec gate, not the checksum gate.
-    store = ContentStore(root)
-    key = WarmStore.plan_key(parse_cq(PATH_RULE), "python")
-    payload = store.get("plan", key)
-    payload["seeded"] = ["nosuch"]
-    store.put("plan", key, payload)
-
-    warm = EvaluationEngine(backend="python", store=root)
-    plan = warm.plan_for(parse_cq(PATH_RULE))
-    assert warm.counters.plan_compilations == 1  # codec miss → recompile
-    answer = warm.evaluate(parse_cq(PATH_RULE), path_database)
-    assert answer == frozenset({("a",)})
-    assert plan is not None
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +217,20 @@ def test_negative_cache_avoids_repeat_disk_probes(tmp_path, path_database):
     # A save clears the negative entry; the next load hits.
     warm.save_answer(query, path_database, frozenset({("a",)}))
     assert warm.load_answer(query, path_database) == frozenset({("a",)})
+
+
+def test_full_disk_serves_the_answer_and_leaves_no_temp_file(
+    full_disk, path_database
+):
+    engine = EvaluationEngine(backend="python", store=full_disk)
+    answer = engine.evaluate(parse_cq(PATH_RULE), path_database)
+    assert answer == frozenset({("a",)})
+    assert engine.store.skipped >= 1
+    assert engine.store.memo_saves == 0
+    leftovers = glob.glob(
+        os.path.join(full_disk.root, "**", ".tmp.*"), recursive=True
+    )
+    assert leftovers == []
 
 
 def test_unencodable_answers_are_skipped_not_fatal(tmp_path):

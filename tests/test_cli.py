@@ -690,14 +690,14 @@ class TestStoreIntegration:
         ) == 0
         capsys.readouterr()
 
-        # Run one: the store warms from train's plan warm-up.
+        # Run one fills the store's memo with every feature answer.
         assert main(
             ["predict", requests_file, "--model", model_out,
              "--store", root, "--metrics"]
         ) == 0
         first = capsys.readouterr()
         first_metrics = json.loads(first.err)
-        # Run two: fully warm — zero fresh plan compilations, memo hits.
+        # Run two answers from the store: memo hits and no evaluation.
         assert main(
             ["predict", requests_file, "--model", model_out,
              "--store", root, "--metrics"]
@@ -705,15 +705,28 @@ class TestStoreIntegration:
         second = capsys.readouterr()
         second_metrics = json.loads(second.err)
         assert second.out == first.out  # bit-identical predictions
-        store_stats = second_metrics["engine"]["store"]
-        assert store_stats["memo_hits"] > 0
-        assert second_metrics["engine"]["plan_compilations"] == 0
+        engine = second_metrics["engine"]
+        assert engine["store"]["memo_hits"] > 0
+        assert engine["hom_checks"] == 0
+        assert engine["backtrack_nodes"] == 0
+        assert engine["vectorized_sweeps"] == 0
+        assert main(["predict", requests_file, "--model", model_out]) == 0
+        assert capsys.readouterr().out == first.out  # same as store-less
+        assert not (tmp_path / "wstore" / "objects" / "plan").exists()
 
-    def test_store_ls_gc_verify_rm(self, training_file, tmp_path, capsys):
+    def test_store_ls_gc_verify_rm(
+        self, training_file, requests_file, tmp_path, capsys
+    ):
         root = str(tmp_path / "wstore")
+        model_out = str(tmp_path / "model.json")
         assert main(
             ["train", training_file, "--language", "cqm", "--m", "2",
-             "--store", root, "--publish", "pathmodel"]
+             "--store", root, "--publish", "pathmodel", "--out", model_out]
+        ) == 0
+        # Train publishes only the model; a predict run adds the answers.
+        assert main(
+            ["predict", requests_file, "--model", model_out,
+             "--store", root]
         ) == 0
         capsys.readouterr()
 
