@@ -24,7 +24,6 @@ import tempfile
 
 from repro.cq.engine import EvaluationEngine
 from repro.core.separability import feature_pool
-from repro.data.bitset import HAVE_NUMPY
 from repro.workloads.molecules import carbonyl_concept, molecule_database
 from repro.workloads.retail import premium_buyer_concept, retail_database
 
@@ -65,7 +64,7 @@ WORKLOADS = (
     ),
 )
 
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
+BACKENDS = ("python", "numpy")
 
 
 def _matrix(engine, queries, database, entities):

@@ -7,18 +7,14 @@ CQ[2] feature-pool matrix over paper-scale retail and molecules databases
 (|dom| in the thousands, far past the 64-element word boundary) on both
 backends, asserting the matrices are **bit-identical** before comparing
 wall-clocks — the speedup claim is only meaningful on provably equal
-outputs.  With numpy available, the vectorized backend must win by at
-least 3x on every workload, with every query answered by a sweep (zero
-fallbacks); without numpy the bench still validates the graceful
-degradation path (identical matrices, zero sweeps) and skips the timing
-claim.
+outputs.  The vectorized backend must win by at least 3x on every
+workload, with every query answered by a sweep (zero fallbacks).
 """
 
 from __future__ import annotations
 
 from repro.cq.engine import EvaluationEngine
 from repro.core.separability import feature_pool
-from repro.data.bitset import HAVE_NUMPY
 from repro.workloads.molecules import carbonyl_concept, molecule_database
 from repro.workloads.retail import premium_buyer_concept, retail_database
 
@@ -84,19 +80,13 @@ def test_vectorized_backend_speedup(benchmark):
         # The ground truth for the whole bench: backends agree bitwise.
         assert actual == expected
 
-        if HAVE_NUMPY:
-            assert numpy_engine.active_backend == "numpy"
-            assert work["vectorized_sweeps"] > 0
-            assert work["backend_fallbacks"] == 0
-            speedup = python_seconds / max(numpy_seconds, 1e-9)
-            assert speedup >= SPEEDUP_FLOOR, (
-                f"{name}: vectorized speedup {speedup:.1f}x below "
-                f"{SPEEDUP_FLOOR}x floor"
-            )
-        else:
-            assert numpy_engine.active_backend == "python"
-            assert work["vectorized_sweeps"] == 0
-            speedup = float("nan")
+        assert work["vectorized_sweeps"] > 0
+        assert work["backend_fallbacks"] == 0
+        speedup = python_seconds / max(numpy_seconds, 1e-9)
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"{name}: vectorized speedup {speedup:.1f}x below "
+            f"{SPEEDUP_FLOOR}x floor"
+        )
 
         rows.append(
             (

@@ -87,15 +87,12 @@ def environment_header() -> str:
     """One comment line pinning the evaluation environment of a report.
 
     Every results file records which backend produced it and the numpy
-    version in play (``absent`` when the vectorized backend cannot load),
-    so persisted tables from different backends are never conflated.
+    version in play, so persisted tables from different backends are never
+    conflated.
     """
-    from repro.data.bitset import numpy_version
+    import numpy
 
-    return (
-        f"# backend={bench_backend()} "
-        f"numpy={numpy_version() or 'absent'}"
-    )
+    return f"# backend={bench_backend()} numpy={numpy.__version__}"
 
 
 def report(

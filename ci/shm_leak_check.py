@@ -28,7 +28,6 @@ from repro.core.languages import BoundedAtomsCQ
 from repro.core.pipeline import FeatureEngineeringSession
 from repro.core.separability import feature_pool
 from repro.cq.engine import EvaluationEngine
-from repro.data.bitset import HAVE_NUMPY
 from repro.runtime import ParallelExecutor
 from repro.runtime.broadcast import SEGMENT_PREFIX
 from repro.serve import InferenceService
@@ -111,7 +110,7 @@ def main() -> int:
         for method in ("fork", "spawn")
         if method in multiprocessing.get_all_start_methods()
     ]
-    backends = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+    backends = ("python", "numpy")
     for method in methods:
         for backend in backends:
             _drive_executor(method, backend)

@@ -99,8 +99,8 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
         choices=("python", "numpy"),
         default="python",
         help="evaluation backend: pure python (default) or vectorized "
-        "numpy bitsets (falls back to python per instance when numpy "
-        "is absent or a query shape is unsupported; results identical)",
+        "numpy bitsets (falls back to python per instance when a query "
+        "shape is unsupported; results identical)",
     )
 
 

@@ -64,13 +64,14 @@ from typing import (
     Tuple,
 )
 
+import numpy
+
 from repro.cq.homomorphism import SearchCounters, has_homomorphism
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.cq.plan import HomomorphismProgram, PlanCounters, QueryPlan
     from repro.runtime.executor import Executor
 from repro.cq.query import CQ
-from repro.data import bitset as bitset_backend
 from repro.data.database import Database
 from repro.exceptions import (
     DatabaseError,
@@ -282,11 +283,11 @@ class EvaluationEngine:
         reference hot path.  ``"numpy"`` opts into the vectorized bitset
         backend (:mod:`repro.cq.vectorized`): whole-query evaluations,
         hom checks, and bounded-ghw answers run as batched array sweeps
-        when numpy is importable and the instance fits, and fall back to
-        the Python path otherwise — results are bit-identical either way
-        (enforced by the ``tests/vectorized`` differential harness), and
-        :meth:`backend_info` reports the active backend plus the most
-        recent fallback reason.
+        when the instance fits, and fall back to the Python path
+        otherwise — results are bit-identical either way (enforced by the
+        ``tests/vectorized`` differential harness), and
+        :meth:`backend_info` reports the backend plus the most recent
+        fallback reason.
     max_vector_cells:
         Cap on the ``rows × columns`` size of any intermediate join table
         the numpy backend materializes; larger joins fall back to the
@@ -349,34 +350,20 @@ class EvaluationEngine:
     # Backend selection and fallback accounting
     # ------------------------------------------------------------------
 
-    @property
-    def active_backend(self) -> str:
-        """The backend evaluations actually use right now.
-
-        ``"numpy"`` only when it was requested *and* numpy is importable
-        (checked dynamically, so disabling numpy mid-session — tests do —
-        degrades the engine rather than breaking it).
-        """
-        if self.backend == "numpy" and bitset_backend.HAVE_NUMPY:
-            return "numpy"
-        return "python"
-
     def backend_info(self) -> Dict[str, Any]:
         """Requested/active backend, numpy version, fallback accounting.
 
         JSON-safe; surfaced by ``InferenceService.metrics_snapshot()`` and
         the benchmark report headers so results stay attributable to the
-        backend that produced them.
+        backend that produced them.  ``active`` always equals
+        ``requested``; both keys stay for the ``/metrics`` schema.
         """
-        reason = self.backend_fallback_reason
-        if self.backend == "numpy" and not bitset_backend.HAVE_NUMPY:
-            reason = "numpy unavailable"
         return {
             "requested": self.backend,
-            "active": self.active_backend,
-            "numpy": bitset_backend.numpy_version(),
+            "active": self.backend,
+            "numpy": numpy.__version__,
             "fallbacks": self._backend_fallbacks,
-            "fallback_reason": reason,
+            "fallback_reason": self.backend_fallback_reason,
         }
 
     def _note_fallback(self, reason: str) -> None:
@@ -487,7 +474,7 @@ class EvaluationEngine:
         cached = self._hom_cache.lookup(key)
         if cached is not _LRUCache._MISSING:
             return cached
-        if self.active_backend == "numpy":
+        if self.backend == "numpy":
             decision = self._vectorized_hom(source, target, fixed)
             if decision is not None:
                 self._hom_cache.store(key, decision)
@@ -589,7 +576,7 @@ class EvaluationEngine:
         if not pending:
             return resolved
         computed: Dict[CQ, Rows] = {}
-        if sweep and self.active_backend == "numpy":
+        if sweep and self.backend == "numpy":
             for query in pending:
                 rows = self._vectorized_answer(query, database)
                 if rows is not None:
@@ -690,7 +677,7 @@ class EvaluationEngine:
         """
         if not query.is_unary:
             raise QueryError("selects requires a unary CQ")
-        if self.active_backend == "numpy":
+        if self.backend == "numpy":
             (rows,) = self._resolve((query,), database, None)
             if rows is not None:
                 return (element,) in rows

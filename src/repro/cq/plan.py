@@ -60,6 +60,7 @@ from typing import (
 from repro.cq.homomorphism import SearchCounters, _order_facts
 from repro.cq.query import CQ
 from repro.cq.terms import Variable
+from repro.cq.vectorized import VectorizedProgram
 from repro.data.database import Database
 from repro.exceptions import DatabaseError, DecompositionError, QueryError
 from repro.hypergraph.decomposition import TreeDecomposition
@@ -669,8 +670,7 @@ class QueryPlan:
     :meth:`structured` and cached on the plan, so the decomposition search
     also runs at most once per ``(query, k)``.  The vectorized program
     (numpy-bitset backend, :mod:`repro.cq.vectorized`) is compiled lazily
-    via :meth:`vectorized` — compilation reads only the query, so it
-    works (and caches) even when numpy is absent.
+    via :meth:`vectorized`; compilation reads only the query.
     """
 
     __slots__ = ("query", "program", "_structured", "_vectorized")
@@ -716,13 +716,9 @@ class QueryPlan:
 
         Compiled at most once per plan; like every plan artifact it is
         database-independent, so it survives deltas and is valid against
-        any target.  numpy is only needed to *evaluate* the program.
+        any target.
         """
         if self._vectorized is None:
-            # Local import: keeps the vectorized backend optional at the
-            # module level, mirroring the lazy ghw import above.
-            from repro.cq.vectorized import VectorizedProgram
-
             self._vectorized = VectorizedProgram.compile_query(self.query)
         return self._vectorized
 

@@ -21,9 +21,8 @@ across target facts.  This module batches it:
 A :class:`VectorizedProgram` is compiled once per query (or per hom-check
 source database) and — like :class:`~repro.cq.plan.QueryPlan` — is
 database-independent: compilation reads only the query structure, never a
-target's facts, so numpy is *not* needed to compile, only to evaluate.
-Evaluation raises :class:`VectorizedFallback` whenever it cannot proceed
-(numpy absent, an unsupported shape, or an intermediate join exceeding
+target's facts.  Evaluation raises :class:`VectorizedFallback` whenever it
+cannot proceed (an unsupported shape, or an intermediate join exceeding
 ``max_cells``); the engine catches it, records the reason, and reruns the
 check on the pure-Python path, so results are never silently wrong — the
 differential harness in ``tests/vectorized`` holds the two backends
@@ -42,6 +41,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.cq.query import CQ
 from repro.data import bitset as bitset_backend
@@ -221,10 +222,6 @@ class VectorizedProgram:
         Returns ``None`` when the instance is unsatisfiable.  Raises
         :class:`VectorizedFallback` when this backend cannot decide it.
         """
-        if not bitset_backend.HAVE_NUMPY:
-            raise VectorizedFallback("numpy unavailable")
-        np = bitset_backend.np
-
         if not self.atoms:
             # No constraints at all: the (empty or fixed-only) assignment
             # is always a homomorphism.
@@ -430,7 +427,6 @@ class VectorizedProgram:
             return frozenset()
         if not self.free:
             return frozenset({()})
-        np = bitset_backend.np
         free_slots = list(range(len(self.free)))
         projection = table[:, [columns.index(slot) for slot in free_slots]]
         rows = np.unique(projection, axis=0)

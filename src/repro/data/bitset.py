@@ -11,19 +11,13 @@ every homomorphism check — is then one ``np.bitwise_and`` over whole words
 instead of a Python set intersection, and the ``facts_at`` buckets are
 replaced by dense id matrices (one ``(n_facts, arity)`` table per
 relation) that batched joins and semijoins read column-wise.
-
-numpy is strictly optional.  The module imports it behind a guard and
-exposes :data:`HAVE_NUMPY`; when numpy is absent (or disabled via the
-``REPRO_DISABLE_NUMPY`` environment variable, which tests and the
-no-numpy CI leg use) everything else in the library keeps working on the
-pure-Python backend — consumers must check :data:`HAVE_NUMPY` *at call
-time* (it is monkeypatchable) and fall back.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
+
+import numpy as np
 
 from repro.exceptions import DatabaseError
 
@@ -31,9 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.database import DatabaseIndex
 
 __all__ = [
-    "HAVE_NUMPY",
     "WORD_BITS",
-    "numpy_version",
     "pack_ids",
     "unpack_ids",
     "bit_test",
@@ -44,21 +36,6 @@ Element = Any
 
 #: Bits per packed word; bit ``i`` of word ``w`` covers element ``64*w + i``.
 WORD_BITS = 64
-
-try:
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_DISABLE_NUMPY")
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-
-def numpy_version() -> Optional[str]:
-    """The active numpy version string, or ``None`` when unavailable."""
-    return np.__version__ if HAVE_NUMPY and np is not None else None
 
 
 def pack_ids(ids: Any, n_bits: int) -> Any:
@@ -132,11 +109,6 @@ class BitsetIndex:
     )
 
     def __init__(self, index: "DatabaseIndex") -> None:
-        if not HAVE_NUMPY:
-            raise DatabaseError(
-                "BitsetIndex requires numpy; check repro.data.bitset."
-                "HAVE_NUMPY before constructing one"
-            )
         self.elements: Tuple[Element, ...] = index.sorted_domain
         self.element_id: Dict[Element, int] = {
             element: i for i, element in enumerate(self.elements)

@@ -132,10 +132,8 @@ class DatabaseIndex:
     def bitsets(self) -> Any:
         """The :class:`~repro.data.bitset.BitsetIndex`, built on first use.
 
-        Requires numpy (raises :class:`~repro.exceptions.DatabaseError`
-        otherwise — callers on the vectorized path check
-        ``repro.data.bitset.HAVE_NUMPY`` first).  Like the index itself
-        the encoding never invalidates: databases are immutable.
+        Like the index itself the encoding never invalidates: databases
+        are immutable.
         """
         if self._bitsets is None:
             from repro.data.bitset import BitsetIndex

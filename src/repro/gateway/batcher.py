@@ -65,9 +65,6 @@ class MicroBatcher:
     window:
         Deadline trigger, in seconds: the longest a pending request waits
         before its (possibly undersized) batch is dispatched.
-    fuse:
-        Whether to coalesce submissions that share a key.  Keys are
-        supplied per ``submit``; ``None`` keys never fuse.
     """
 
     def __init__(
@@ -75,7 +72,6 @@ class MicroBatcher:
         dispatch: Callable[[List[Any]], Awaitable[List[Any]]],
         max_batch: int = 16,
         window: float = 0.005,
-        fuse: bool = True,
     ) -> None:
         if max_batch < 1:
             raise GatewayError(f"max_batch must be >= 1, got {max_batch}")
@@ -84,7 +80,6 @@ class MicroBatcher:
         self._dispatch = dispatch
         self.max_batch = max_batch
         self.window = window
-        self.fuse = fuse
         self._pending: List[_Group] = []
         self._by_key: Dict[Any, _Group] = {}
         self._timer: Optional[asyncio.TimerHandle] = None
@@ -125,7 +120,7 @@ class MicroBatcher:
         future: "asyncio.Future[Any]" = loop.create_future()
         self.submitted += 1
         group: Optional[_Group] = None
-        if self.fuse and key is not None:
+        if key is not None:
             group = self._by_key.get(key)
         if group is not None:
             self.fused += 1
@@ -134,7 +129,7 @@ class MicroBatcher:
             group = _Group(key, item)
             group.futures.append(future)
             self._pending.append(group)
-            if self.fuse and key is not None:
+            if key is not None:
                 self._by_key[key] = group
             if len(self._pending) >= self.max_batch:
                 self._flush("size")

@@ -1,11 +1,10 @@
 """Minimal HTTP/1.1 codec over asyncio streams — stdlib only.
 
 The gateway speaks just enough HTTP/1.1 for a production-shaped serving
-tier without adding a dependency (numpy stays the repo's only optional
-one): request-line + header parsing with hard size limits, bodies by
-``Content-Length`` or ``chunked`` transfer coding, keep-alive connection
-reuse, JSON responses, and chunked NDJSON response streaming for the
-delta-stream endpoint.
+tier without adding a dependency: request-line + header parsing with hard
+size limits, bodies by ``Content-Length`` or ``chunked`` transfer coding,
+keep-alive connection reuse, JSON responses, and chunked NDJSON response
+streaming for the delta-stream endpoint.
 
 Parsing errors surface as :class:`HttpError` carrying the status the
 connection handler should answer with (400/405/411/413/431/...), so the
@@ -182,41 +181,59 @@ async def read_head(
     return HttpRequest(method, unquote(path), query, headers, version)
 
 
+async def _read_chunk(
+    reader: asyncio.StreamReader, used: int, max_body: int
+) -> bytes:
+    """One chunk of a ``chunked`` body; ``b""`` ends it (no trailer support).
+
+    ``used`` counts the body bytes the caller already holds against
+    ``max_body``.
+    """
+    try:
+        size_line = await reader.readuntil(b"\r\n")
+    except asyncio.IncompleteReadError:
+        raise HttpError(400, "connection closed inside a chunk header")
+    except asyncio.LimitOverrunError:
+        raise HttpError(400, "chunk header over the stream limit")
+    try:
+        size = int(size_line.split(b";", 1)[0].strip(), 16)
+    except ValueError:
+        raise HttpError(400, f"malformed chunk size {size_line!r}")
+    if size < 0:
+        raise HttpError(400, "negative chunk size")
+    if size == 0:
+        # Consume the (empty) trailer section.
+        try:
+            while (await reader.readuntil(b"\r\n")) != b"\r\n":
+                pass
+        except asyncio.IncompleteReadError:
+            raise HttpError(400, "connection closed inside the trailer")
+        except asyncio.LimitOverrunError:
+            raise HttpError(400, "trailer line over the stream limit")
+        return b""
+    if used + size > max_body:
+        raise HttpError(413, f"chunked body over {max_body} bytes")
+    try:
+        chunk = await reader.readexactly(size + 2)
+    except asyncio.IncompleteReadError:
+        raise HttpError(400, "connection closed inside a chunk")
+    if chunk[-2:] != b"\r\n":
+        raise HttpError(400, "chunk missing its CRLF terminator")
+    return chunk[:-2]
+
+
 async def _read_chunked(
     reader: asyncio.StreamReader, max_body: int
 ) -> bytes:
-    """Decode a ``chunked`` request body (no trailer support)."""
+    """Decode a whole ``chunked`` request body."""
     chunks = []
     total = 0
     while True:
-        try:
-            size_line = await reader.readuntil(b"\r\n")
-        except asyncio.IncompleteReadError:
-            raise HttpError(400, "connection closed inside a chunk header")
-        try:
-            size = int(size_line.split(b";", 1)[0].strip(), 16)
-        except ValueError:
-            raise HttpError(400, f"malformed chunk size {size_line!r}")
-        if size < 0:
-            raise HttpError(400, "negative chunk size")
-        if size == 0:
-            # Consume the (empty) trailer section.
-            try:
-                while (await reader.readuntil(b"\r\n")) != b"\r\n":
-                    pass
-            except asyncio.IncompleteReadError:
-                raise HttpError(400, "connection closed inside the trailer")
+        chunk = await _read_chunk(reader, total, max_body)
+        if not chunk:
             return b"".join(chunks)
-        total += size
-        if total > max_body:
-            raise HttpError(413, f"chunked body over {max_body} bytes")
-        try:
-            chunk = await reader.readexactly(size + 2)
-        except asyncio.IncompleteReadError:
-            raise HttpError(400, "connection closed inside a chunk")
-        if chunk[-2:] != b"\r\n":
-            raise HttpError(400, "chunk missing its CRLF terminator")
-        chunks.append(chunk[:-2])
+        total += len(chunk)
+        chunks.append(chunk)
 
 
 async def read_body(
@@ -265,32 +282,17 @@ async def iter_ndjson(
         line_number += 1
         try:
             return json.loads(line)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
             raise HttpError(
                 400, f"stream line {line_number}: invalid JSON: {error}"
             )
 
     if head.chunked:
         while True:
-            try:
-                size_line = await reader.readuntil(b"\r\n")
-                size = int(size_line.split(b";", 1)[0].strip(), 16)
-            except (asyncio.IncompleteReadError, ValueError):
-                raise HttpError(400, "malformed chunk inside NDJSON stream")
-            if size == 0:
-                try:
-                    while (await reader.readuntil(b"\r\n")) != b"\r\n":
-                        pass
-                except asyncio.IncompleteReadError:
-                    raise HttpError(400, "connection closed in the trailer")
+            chunk = await _read_chunk(reader, len(buffer), max_body)
+            if not chunk:
                 break
-            if size + len(buffer) > max_body:
-                raise HttpError(413, "NDJSON stream line over the body cap")
-            try:
-                chunk = await reader.readexactly(size + 2)
-            except asyncio.IncompleteReadError:
-                raise HttpError(400, "connection closed inside a chunk")
-            buffer += chunk[:-2]
+            buffer += chunk
             while b"\n" in buffer:
                 line, buffer = buffer.split(b"\n", 1)
                 if line.strip():

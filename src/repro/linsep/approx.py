@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from scipy.optimize import linprog
+
 from repro.exceptions import SeparabilityError, SolverError
 from repro.linsep.classifier import LinearClassifier
-from repro.linsep.lp import find_separator, is_linearly_separable
-
-try:  # pragma: no cover
-    from scipy.optimize import linprog as _scipy_linprog
-except ImportError:  # pragma: no cover
-    _scipy_linprog = None
+from repro.linsep.lp import _validate, find_separator, is_linearly_separable
 
 __all__ = [
     "ApproxSeparation",
@@ -49,19 +46,6 @@ class ApproxSeparation:
 
     def error_rate(self, total: int) -> float:
         return self.errors / total if total else 0.0
-
-
-def _validate(
-    vectors: Sequence[Sequence[int]], labels: Sequence[int]
-) -> None:
-    if len(vectors) != len(labels):
-        raise SeparabilityError("vectors and labels differ in length")
-    if vectors:
-        arity = len(vectors[0])
-        if any(len(vector) != arity for vector in vectors):
-            raise SeparabilityError("vectors must all have the same length")
-    if any(label not in (1, -1) for label in labels):
-        raise SeparabilityError("labels must be +1 or -1")
 
 
 def _group_examples(
@@ -163,10 +147,6 @@ def _soft_margin_violations(
     vectors: Sequence[Sequence[int]], labels: Sequence[int]
 ) -> List[float]:
     """Per-example slack of the minimum-total-slack soft-margin LP."""
-    if _scipy_linprog is None:
-        # Fallback: uniform slacks; the greedy then drops examples from the
-        # majority-conflict side deterministically.
-        return [1.0] * len(vectors)
     arity = len(vectors[0])
     n = len(vectors)
     # Variables: w1..wn, w0, xi_1..xi_n; minimize sum xi.
@@ -190,7 +170,7 @@ def _soft_margin_violations(
         b_ub.append(-1.0)
     bounds = [(-n - 1.0, n + 1.0)] * (arity + 1) + [(0.0, None)] * n
     c = [0.0] * (arity + 1) + [1.0] * n
-    result = _scipy_linprog(
+    result = linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
     )
     if not result.success:  # pragma: no cover - LP is always feasible

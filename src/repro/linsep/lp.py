@@ -20,15 +20,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from scipy.optimize import linprog
+
 from repro.exceptions import SeparabilityError, SolverError
 from repro.linsep.classifier import LinearClassifier
 from repro.linsep.perceptron import train_perceptron
-from repro.linsep.simplex import solve_lp
-
-try:  # pragma: no cover - exercised through both branches in CI images
-    from scipy.optimize import linprog as _scipy_linprog
-except ImportError:  # pragma: no cover
-    _scipy_linprog = None
 
 __all__ = [
     "separation_margin",
@@ -39,15 +35,32 @@ __all__ = [
 _MARGIN_TOLERANCE = 1e-7
 
 
-def _margin_lp(
+def _validate(
+    vectors: Sequence[Sequence[int]], labels: Sequence[int]
+) -> None:
+    if len(vectors) != len(labels):
+        raise SeparabilityError("vectors and labels differ in length")
+    if vectors:
+        arity = len(vectors[0])
+        if any(len(vector) != arity for vector in vectors):
+            raise SeparabilityError("vectors must all have the same length")
+    if any(label not in (1, -1) for label in labels):
+        raise SeparabilityError("labels must be +1 or -1")
+
+
+def _margin_program(
     vectors: Sequence[Sequence[int]],
     labels: Sequence[int],
-    backend: str,
-) -> Tuple[float, Tuple[float, ...]]:
-    """Solve the margin LP; returns (δ*, (w1..wn, w0))."""
+) -> Tuple[
+    List[float], List[List[float]], List[float], List[Tuple[float, float]]
+]:
+    """The margin LP as ``(c, A_ub, b_ub, bounds)``: maximize ``c · x``.
+
+    This is the form :func:`~repro.linsep.simplex.solve_lp` takes; the
+    optimum is δ*.
+    """
     arity = len(vectors[0])
     # Variables: w1..wn, w0, delta.
-    n_vars = arity + 2
     a_ub: List[List[float]] = []
     b_ub: List[float] = []
     for vector, label in zip(vectors, labels):
@@ -61,78 +74,65 @@ def _margin_lp(
         b_ub.append(0.0)
     bounds = [(-1.0, 1.0)] * (arity + 1) + [(0.0, 1.0)]
     c_max = [0.0] * (arity + 1) + [1.0]
+    return c_max, a_ub, b_ub, bounds
 
-    if backend == "scipy":
-        if _scipy_linprog is None:
-            raise SolverError("SciPy backend requested but SciPy is missing")
-        result = _scipy_linprog(
-            [-ci for ci in c_max],
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
-            raise SolverError(f"LP solver failed: {result.message}")
-        solution = tuple(float(x) for x in result.x)
-        return float(-result.fun), solution[: arity + 1]
-    if backend == "simplex":
-        result = solve_lp(c_max, a_ub, b_ub, bounds)
-        return float(result.value), tuple(result.solution[: arity + 1])
-    raise SolverError(f"unknown LP backend {backend!r}")
+
+def _margin_lp(
+    vectors: Sequence[Sequence[int]],
+    labels: Sequence[int],
+) -> float:
+    """Solve the margin LP with HiGHS; returns δ*."""
+    c_max, a_ub, b_ub, bounds = _margin_program(vectors, labels)
+    result = linprog(
+        [-ci for ci in c_max],
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        bounds=bounds,
+        method="highs",
+    )
+    if not result.success:
+        raise SolverError(f"LP solver failed: {result.message}")
+    return float(-result.fun)
 
 
 def separation_margin(
     vectors: Sequence[Sequence[int]],
     labels: Sequence[int],
-    backend: str = "auto",
 ) -> float:
     """The optimal margin δ* of the separability LP (0 iff not separable)."""
-    if len(vectors) != len(labels):
-        raise SeparabilityError("vectors and labels differ in length")
-    if not vectors:
-        return 1.0
-    arity = len(vectors[0])
-    if any(len(vector) != arity for vector in vectors):
-        raise SeparabilityError("vectors must all have the same length")
-    if any(label not in (1, -1) for label in labels):
-        raise SeparabilityError("labels must be +1 or -1")
+    _validate(vectors, labels)
     if all(label == 1 for label in labels) or all(
         label == -1 for label in labels
     ):
         return 1.0
-    if backend == "auto":
-        backend = "scipy" if _scipy_linprog is not None else "simplex"
-    delta, _ = _margin_lp(vectors, labels, backend)
-    return delta
+    return _margin_lp(vectors, labels)
 
 
 def is_linearly_separable(
     vectors: Sequence[Sequence[int]],
     labels: Sequence[int],
-    backend: str = "auto",
 ) -> bool:
     """Whether some ``Λ_w̄`` classifies every example correctly."""
-    return separation_margin(vectors, labels, backend) > _MARGIN_TOLERANCE
+    return separation_margin(vectors, labels) > _MARGIN_TOLERANCE
 
 
 def find_separator(
     vectors: Sequence[Sequence[int]],
     labels: Sequence[int],
-    backend: str = "auto",
 ) -> Optional[LinearClassifier]:
     """An exact separating classifier, or ``None`` if none exists.
 
     The returned classifier has integral weights and verifies exactly
     (``classifier.separates(vectors, labels)`` is re-checked before return).
     """
+    _validate(vectors, labels)
     if not vectors:
         return LinearClassifier((), 0.0)
     if all(label == 1 for label in labels):
         return LinearClassifier.constant(len(vectors[0]), 1)
     if all(label == -1 for label in labels):
         return LinearClassifier.constant(len(vectors[0]), -1)
-    if not is_linearly_separable(vectors, labels, backend):
+    if not is_linearly_separable(vectors, labels):
         return None
     classifier = train_perceptron(vectors, labels)
     if classifier is None:  # pragma: no cover - LP certified separability

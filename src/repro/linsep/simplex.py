@@ -6,11 +6,11 @@ Solves::
     subject to  A x ≤ b
                 lo ≤ x ≤ hi   (finite bounds)
 
-This backs the linear-separability LP when SciPy is unavailable and serves
-as a differential-testing target for the SciPy backend.  Bland's rule makes
-cycling impossible; the implementation is tableau-based and intended for the
-small dense programs produced by this library (tens of variables and
-constraints), not for production-scale LP.
+The tests check the separability LP's HiGHS optimum (SciPy) against this
+solver on the same program.  Bland's rule makes cycling impossible; the
+implementation is tableau-based and intended for the small dense programs
+produced by this library (tens of variables and constraints), not for
+production-scale LP.
 """
 
 from __future__ import annotations

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.exceptions import SeparabilityError, SolverError
-from repro.linsep.classifier import LinearClassifier
-from repro.linsep.lp import is_linearly_separable
+from scipy.optimize import linprog
 
-try:  # pragma: no cover
-    from scipy.optimize import linprog as _scipy_linprog
-except ImportError:  # pragma: no cover
-    _scipy_linprog = None
+from repro.exceptions import SolverError
+from repro.linsep.classifier import LinearClassifier
+from repro.linsep.lp import _validate, is_linearly_separable
 
 __all__ = ["find_sparse_separator", "support_size"]
 
@@ -40,8 +37,7 @@ def find_sparse_separator(
     (tiny weights below the numerical tolerance are snapped to zero first;
     if snapping breaks separation, the unsnapped optimum is returned).
     """
-    if len(vectors) != len(labels):
-        raise SeparabilityError("vectors and labels differ in length")
+    _validate(vectors, labels)
     if not vectors:
         return LinearClassifier((), 0.0)
     if all(label == 1 for label in labels):
@@ -50,8 +46,6 @@ def find_sparse_separator(
         return LinearClassifier.constant(len(vectors[0]), -1)
     if not is_linearly_separable(vectors, labels):
         return None
-    if _scipy_linprog is None:
-        raise SolverError("sparse separation requires SciPy")
 
     arity = len(vectors[0])
     # Variables: u_1..u_n, v_1..v_n (w = u - v), w0; minimize Σu + Σv.
@@ -68,7 +62,7 @@ def find_sparse_separator(
         a_ub.append(row)
         b_ub.append(-1.0)
     bounds = [(0.0, None)] * (2 * arity) + [(None, None)]
-    result = _scipy_linprog(
+    result = linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
     )
     if not result.success:  # pragma: no cover - separability was checked

@@ -202,8 +202,6 @@ class ParallelExecutor(Executor):
     workers:
         Worker process count (must be >= 2; use :func:`make_executor` to
         pick serial vs parallel from a ``workers=`` knob).
-    cache_size:
-        Per-worker engine cache size; ``None`` keeps the engine default.
     plan_queries:
         Queries whose :class:`~repro.cq.plan.QueryPlan` every worker
         compiles at initialization (once per worker process, before any
@@ -238,7 +236,6 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         workers: int,
-        cache_size: Optional[int] = None,
         plan_queries: Sequence[Any] = (),
         backend: Optional[str] = None,
         store_path: Optional[str] = None,
@@ -250,7 +247,6 @@ class ParallelExecutor(Executor):
                 "use SerialExecutor (or make_executor) for workers <= 1"
             )
         self.workers = workers
-        self._cache_size = cache_size
         self._plan_queries = tuple(plan_queries)
         self._backend = backend
         self._store_path = store_path
@@ -286,8 +282,7 @@ class ParallelExecutor(Executor):
                     mp_context=multiprocessing.get_context(method),
                     initializer=initialize_worker,
                     initargs=(
-                        self._cache_size, self._plan_queries, self._backend,
-                        self._store_path,
+                        self._plan_queries, self._backend, self._store_path,
                     ),
                 )
                 self.effective_start_method = method
@@ -482,7 +477,6 @@ class ParallelExecutor(Executor):
 
 def make_executor(
     workers: Optional[int],
-    cache_size: Optional[int] = None,
     plan_queries: Optional[Sequence[Any]] = None,
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
@@ -502,7 +496,6 @@ def make_executor(
         return SerialExecutor()
     return ParallelExecutor(
         workers,
-        cache_size=cache_size,
         plan_queries=() if plan_queries is None else plan_queries,
         backend=backend,
         store_path=store_path,

@@ -63,7 +63,6 @@ class ShardOutcome(NamedTuple):
 
 
 def initialize_worker(
-    cache_size: Optional[int] = None,
     plan_queries: Sequence[CQ] = (),
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
@@ -86,8 +85,6 @@ def initialize_worker(
     back.
     """
     kwargs: Dict[str, Any] = {}
-    if cache_size is not None:
-        kwargs["cache_size"] = cache_size
     if backend is not None:
         kwargs["backend"] = backend
     if store_path is not None:

@@ -168,7 +168,7 @@ class InferenceService:
         """
         if self._warmed:
             return
-        vectorize = self._engine.active_backend == "numpy"
+        vectorize = self._engine.backend == "numpy"
         for query in self._pair.statistic:
             plan = self._engine.plan_for(query)
             if vectorize:

@@ -3,10 +3,9 @@
 For randomized (query, database) workloads the indexed + memoized engine
 must agree byte-for-byte with :mod:`repro.cq.naive`, including replays that
 are served from the cache.  Every property runs once per evaluation
-backend (``python`` and ``numpy``) — the ``numpy`` leg degrades to the
-python path gracefully when numpy is not importable, so it must pass
-either way.  Together these tests run well over 400 random cases per CI
-invocation (5 properties x 2 backends x 50 examples).
+backend (``python`` and ``numpy``).  Together these tests run well over
+400 random cases per CI invocation (5 properties x 2 backends x 50
+examples).
 """
 
 from __future__ import annotations

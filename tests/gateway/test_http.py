@@ -6,6 +6,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway import HttpError
 from repro.gateway.http import (
@@ -139,11 +141,11 @@ def test_get_without_body_reads_empty():
 # ----------------------------------------------------------------------
 
 
-async def ndjson_of(data: bytes):
+async def ndjson_of(data: bytes, max_body: int = 1 << 20):
     reader = feed(data)
     head = await read_head(reader)
     assert head is not None
-    return [item async for item in iter_ndjson(reader, head)]
+    return [item async for item in iter_ndjson(reader, head, max_body)]
 
 
 def test_ndjson_content_length_framing():
@@ -171,8 +173,12 @@ def test_ndjson_chunked_framing_splits_lines_across_chunks():
     assert run(ndjson_of(data)) == [{"op": "init"}, {"op": "predict"}]
 
 
-def test_ndjson_invalid_line_is_400():
-    payload = b"not json\n"
+@pytest.mark.parametrize(
+    "payload",
+    [b"not json\n", b"\xff\n", b"[" * 100000 + b"\n"],
+    ids=["not-json", "not-utf8", "too-deep"],
+)
+def test_ndjson_invalid_line_is_400(payload):
     data = (
         b"POST /v1/stream HTTP/1.1\r\ncontent-length: %d\r\n\r\n"
         % len(payload)
@@ -180,6 +186,82 @@ def test_ndjson_invalid_line_is_400():
     with pytest.raises(HttpError) as error:
         run(ndjson_of(data))
     assert error.value.status == 400
+
+
+# ----------------------------------------------------------------------
+# Chunk framing (one reader behind read_body and iter_ndjson)
+# ----------------------------------------------------------------------
+
+CHUNKED_HEAD = (
+    b"POST /v1/stream HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
+)
+
+
+@pytest.mark.parametrize("read", [body_of, ndjson_of])
+@pytest.mark.parametrize(
+    "framing",
+    [
+        b"-5\r\nhello\r\n0\r\n\r\n",  # negative size
+        b'e\r\n{"op": "init"}XY0\r\n\r\n',  # no CRLF after the data
+        b"1" * 70000 + b"\r\n",  # size line past the stream limit
+    ],
+    ids=["negative-size", "missing-crlf", "overlong-size-line"],
+)
+def test_malformed_chunk_is_400(read, framing):
+    with pytest.raises(HttpError) as error:
+        run(read(CHUNKED_HEAD + framing))
+    assert error.value.status == 400
+
+
+@st.composite
+def chunked_framings(draw):
+    """A chunked body from drawn size lines and payloads.
+
+    Returns ``(raw, expected)``: ``expected`` is the decoded body when the
+    framing is well formed, else ``None``.
+    """
+    raw = b""
+    payloads = []
+    well_formed = True
+    for _ in range(draw(st.integers(0, 3))):
+        payload = draw(st.binary(max_size=24))
+        size = draw(st.one_of(st.just(len(payload)), st.integers(-40, 40)))
+        sign = "-" if size < 0 else draw(st.sampled_from(["", "+"]))
+        digits = "%x" % abs(size)
+        if draw(st.booleans()):
+            digits = digits.upper()
+        extension = draw(st.sampled_from(["", ";x", ";name=value", " ; q"]))
+        terminator = draw(st.sampled_from([b"\r\n", b"", b"XY", b"\n"]))
+        raw += f"{sign}{digits}{extension}\r\n".encode("ascii")
+        raw += payload + terminator
+        payloads.append(payload)
+        well_formed &= (
+            sign == "" and 0 < size == len(payload) and terminator == b"\r\n"
+        )
+    if draw(st.booleans()):
+        raw += b"0\r\n\r\n"
+    else:
+        well_formed = False
+    expected = b"".join(payloads)
+    if not well_formed or len(expected) > 48:
+        expected = None
+    return raw, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunked_framings())
+def test_chunk_framing_decodes_or_raises_http_error(framing):
+    raw, expected = framing
+    try:
+        decoded = run(body_of(CHUNKED_HEAD + raw, max_body=48))
+    except HttpError:
+        decoded = None
+    if expected is not None:
+        assert decoded == expected
+    try:
+        run(ndjson_of(CHUNKED_HEAD + raw, max_body=48))
+    except HttpError:
+        pass
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.languages import BoundedAtomsCQ, GhwClass
 from repro.core.pipeline import FeatureEngineeringSession
-from repro.data import bitset
 from repro.data.io import facts_to_json
 from repro.gateway import GatewayServer, ModelRegistry, metrics_line
 from repro.gateway.server import labels_json
@@ -28,15 +27,7 @@ from repro.workloads.molecules import molecule_database
 from repro.workloads.retail import retail_database
 from tests.gateway.conftest import HttpClient, premium_eval
 
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not bitset.HAVE_NUMPY, reason="numpy backend unavailable"
-        ),
-    ),
-]
+BACKENDS = ["python", "numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +472,30 @@ def test_stream_body_errors_keep_their_status(premium_artifact_path):
         assert "retry-after" not in headers
         assert headers["connection"] == "close"
         assert "error" in json.loads(raw)
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [b"-5\r\nhello\r\n0\r\n\r\n", b'e\r\n{"op": "init"}XY0\r\n\r\n'],
+    ids=["negative-size", "missing-crlf"],
+)
+def test_stream_malformed_chunk_is_400(premium_artifact_path, framing):
+    """Chunk framing is checked on /v1/stream as on /v1/predict."""
+    registry = ModelRegistry()
+    registry.register("premium", premium_artifact_path)
+
+    async def scenario(gateway, client):
+        client.writer.write(
+            b"POST /v1/stream?model=premium HTTP/1.1\r\nhost: test\r\n"
+            b"transfer-encoding: chunked\r\n\r\n" + framing
+        )
+        await client.writer.drain()
+        return await client.read_response()
+
+    status, headers, raw = serve(registry, scenario)
+    assert status == 400, raw
+    assert headers["connection"] == "close"
+    assert "error" in json.loads(raw)
 
 
 # ----------------------------------------------------------------------

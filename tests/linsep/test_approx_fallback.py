@@ -1,31 +1,10 @@
-"""Tests for the approx module's SciPy-free fallback and edge paths."""
+"""Tests for the approx module's edge paths."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.linsep.approx as approx_module
 from repro.linsep.approx import min_errors_greedy
-
-XOR_VECTORS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-XOR_LABELS = [1, -1, -1, 1]
-
-
-class TestGreedyWithoutScipy:
-    def test_uniform_slack_fallback(self, monkeypatch):
-        monkeypatch.setattr(approx_module, "_scipy_linprog", None)
-        result = min_errors_greedy(XOR_VECTORS, XOR_LABELS)
-        # Still feasible: some examples dropped, classifier consistent.
-        assert result.errors >= 1
-        assert (
-            result.classifier.errors(XOR_VECTORS, XOR_LABELS)
-            == result.errors
-        )
-
-    def test_separable_without_scipy(self, monkeypatch):
-        monkeypatch.setattr(approx_module, "_scipy_linprog", None)
-        result = min_errors_greedy(XOR_VECTORS, [1, 1, 1, -1])
-        assert result.errors == 0
 
 
 class TestValidationPaths:

@@ -1,4 +1,4 @@
-"""Tests for LP-based separability, including backend differential tests."""
+"""Tests for LP-based separability, including a reference-solver check."""
 
 from __future__ import annotations
 
@@ -8,10 +8,13 @@ import pytest
 
 from repro.exceptions import SeparabilityError
 from repro.linsep.lp import (
+    _margin_program,
     find_separator,
     is_linearly_separable,
     separation_margin,
 )
+from repro.linsep.simplex import solve_lp
+from repro.linsep.sparse import find_sparse_separator
 
 AND_VECTORS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 AND_LABELS = [1, -1, -1, -1]
@@ -68,20 +71,12 @@ class TestBackends:
         list(itertools.product((1, -1), repeat=4)),
     )
     def test_scipy_and_simplex_agree(self, labels):
-        scipy_margin = separation_margin(
-            AND_VECTORS, list(labels), backend="scipy"
-        )
-        simplex_margin = separation_margin(
-            AND_VECTORS, list(labels), backend="simplex"
-        )
+        scipy_margin = separation_margin(AND_VECTORS, list(labels))
+        simplex_margin = solve_lp(
+            *_margin_program(AND_VECTORS, list(labels))
+        ).value
         assert (scipy_margin > 1e-7) == (simplex_margin > 1e-7)
         assert scipy_margin == pytest.approx(simplex_margin, abs=1e-6)
-
-    def test_unknown_backend(self):
-        from repro.exceptions import SolverError
-
-        with pytest.raises(SolverError):
-            separation_margin(AND_VECTORS, AND_LABELS, backend="nope")
 
 
 class TestFindSeparator:
@@ -114,3 +109,22 @@ class TestFindSeparator:
         classifier = find_separator(vectors, labels)
         assert classifier is not None
         assert classifier.separates(vectors, labels)
+
+
+@pytest.mark.parametrize(
+    "vectors, labels",
+    [
+        ([], [1]),
+        ([(1,), (1,)], [1]),
+        ([(1,), (1,)], [-1, -1, -1]),
+        ([(1,), (1, 1)], [1, 1]),
+    ],
+)
+@pytest.mark.parametrize("separator", [find_separator, find_sparse_separator])
+def test_malformed_uniform_collections_are_rejected(
+    separator, vectors, labels
+):
+    # Uniform labels take the constant-classifier shortcut, which must not
+    # skip validation.
+    with pytest.raises(SeparabilityError):
+        separator(vectors, labels)

@@ -1,18 +1,14 @@
-"""Tests for the dependency-free simplex solver."""
+"""Tests for the pure-Python simplex solver, the LP reference."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from scipy.optimize import linprog
 
 from repro.exceptions import SolverError
 from repro.linsep.simplex import solve_lp
-
-try:
-    from scipy.optimize import linprog
-except ImportError:  # pragma: no cover
-    linprog = None
 
 
 class TestSolveLp:
@@ -61,7 +57,6 @@ class TestSolveLp:
         for value in x:
             assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
-    @pytest.mark.skipif(linprog is None, reason="SciPy not available")
     def test_random_agreement_with_scipy(self):
         rng = random.Random(11)
         for trial in range(15):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from repro.linsep.approx import min_errors_exact, min_errors_greedy
 from repro.linsep.lp import (
+    _margin_program,
     find_separator,
     is_linearly_separable,
     separation_margin,
 )
+from repro.linsep.simplex import solve_lp
 
 from tests.property.strategies import pm_one_vectors
 
@@ -36,11 +38,11 @@ class TestSeparabilityProperties:
             assert is_linearly_separable(vectors[1:], labels[1:])
 
     @_SETTINGS
-    @given(pm_one_vectors())
+    @given(pm_one_vectors(min_rows=1))
     def test_backends_agree(self, collection):
         vectors, labels = collection
-        scipy_margin = separation_margin(vectors, labels, "scipy")
-        simplex_margin = separation_margin(vectors, labels, "simplex")
+        scipy_margin = separation_margin(vectors, labels)
+        simplex_margin = solve_lp(*_margin_program(vectors, labels)).value
         assert (scipy_margin > 1e-7) == (simplex_margin > 1e-7)
 
     @_SETTINGS

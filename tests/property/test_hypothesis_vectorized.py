@@ -13,7 +13,6 @@ specification-grade oracle:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,10 +31,6 @@ from tests.property.strategies import (
     hom_check_instances,
     mixed_databases,
     unary_feature_queries,
-)
-
-pytestmark = pytest.mark.skipif(
-    not bitset.HAVE_NUMPY, reason="property suite targets the numpy backend"
 )
 
 _SETTINGS = settings(max_examples=50, deadline=None)

@@ -140,7 +140,7 @@ class TestPlanPrecompilation:
 
         previous = set_default_engine(EvaluationEngine())
         try:
-            initialize_worker(None, tuple(queries))
+            initialize_worker(tuple(queries))
             plans = default_engine().cache_details()["plans"]
             assert plans.currsize == len(set(queries))
         finally:

@@ -22,7 +22,6 @@ from repro.core.languages import BoundedAtomsCQ, GhwClass
 from repro.core.pipeline import FeatureEngineeringSession
 from repro.core.separability import feature_pool
 from repro.cq.engine import EvaluationEngine
-from repro.data.bitset import HAVE_NUMPY
 from repro.runtime import make_executor
 from repro.serve import InferenceService
 from repro.workloads.molecules import molecule_database
@@ -40,15 +39,7 @@ START_METHODS = [
     "spawn",
 ]
 
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not HAVE_NUMPY, reason="numpy backend unavailable"
-        ),
-    ),
-]
+BACKENDS = ["python", "numpy"]
 
 
 def _select(method, request):

@@ -6,8 +6,6 @@ import glob
 import json
 import os
 
-import pytest
-
 from repro.cli import main
 from repro.cq import parse_cq
 from repro.cq.engine import EvaluationEngine
@@ -51,7 +49,6 @@ def test_warm_engine_recomputes_nothing(tmp_path, path_database):
 
 
 def test_warm_numpy_engine_matches_python(tmp_path, path_database):
-    pytest.importorskip("numpy")
     root = _warm_root(tmp_path)
     cold_answer, _, _ = _evaluate(root, path_database, backend="numpy")
     warm_answer, warm_work, _ = _evaluate(root, path_database, backend="numpy")

@@ -139,6 +139,5 @@ def test_numpy_backend_actually_vectorizes(workload):
     database, queries, entities, _ = workload
     engine = EvaluationEngine(backend="numpy")
     engine.indicator_matrix(queries, database, entities)
-    if engine.active_backend == "numpy":
-        assert engine.counters.vectorized_sweeps > 0
-        assert engine.counters.backtrack_nodes == 0
+    assert engine.counters.vectorized_sweeps > 0
+    assert engine.counters.backtrack_nodes == 0

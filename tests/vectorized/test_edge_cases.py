@@ -2,8 +2,8 @@
 
 Empty databases, empty relations, one-element domains, domains crossing
 the 64-element word boundary (multi-word bitsets), duplicate queries in a
-statistic pool, forced fallbacks (cell cap, numpy disabled), and the
-fallback-reason export contract.
+statistic pool, forced fallbacks (cell cap), and the fallback-reason
+export contract.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from repro.data import bitset
 from repro.data.database import Database, DatabaseBuilder, Fact
 from repro.data.schema import EntitySchema, RelationSymbol
 from repro.exceptions import ReproError
-
-pytestmark = pytest.mark.skipif(
-    not bitset.HAVE_NUMPY, reason="edge cases target the numpy backend"
-)
 
 QUERY = parse_cq("q(x) :- eta(x), E(x, y), R(y)")
 SELF_LOOP = parse_cq("q(x) :- eta(x), E(x, x)")
@@ -122,21 +118,6 @@ class TestFallbacks:
         assert info["fallbacks"] > 0
         assert "max_cells" in info["fallback_reason"]
         assert cramped.work_snapshot()["backend_fallbacks"] > 0
-
-    def test_numpy_disabled_degrades_to_python(self, monkeypatch):
-        monkeypatch.setattr(bitset, "HAVE_NUMPY", False)
-        engine = EvaluationEngine(backend="numpy")
-        assert engine.active_backend == "python"
-        info = engine.backend_info()
-        assert info["requested"] == "numpy"
-        assert info["active"] == "python"
-        assert info["numpy"] is None
-        assert info["fallback_reason"] == "numpy unavailable"
-        database = Database(
-            [Fact("eta", ("a",)), Fact("E", ("a", "a")), Fact("R", ("a",))]
-        )
-        assert engine.evaluate_unary(QUERY, database) == frozenset({"a"})
-        assert engine.counters.vectorized_sweeps == 0
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
