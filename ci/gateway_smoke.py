@@ -4,8 +4,9 @@ Boots the gateway as a real subprocess on an ephemeral port, then over
 plain HTTP: probes /healthz, scores one database via /v1/predict and
 checks the labels against a direct in-process InferenceService.predict,
 reads /metrics, posts a body with a numeric fact argument (400) and the
-valid body again (still 200), and finally SIGTERMs the server expecting
-a graceful drain and exit code 0.
+valid body again (still 200, every answer a memo hit: no evaluation
+work, and one answer-memo hit per feature), and finally SIGTERMs the
+server expecting a graceful drain and exit code 0.
 
 Backend is selected with GATEWAY_BACKEND (default "python") so the same
 script covers the pure-python and numpy legs of the matrix.
@@ -100,8 +101,19 @@ def main() -> None:
         ).encode()
         status = post_status(f"{base}/v1/predict?model=retail", bad)
         assert status == 400, status
+        # The valid body again parses to a new but equal database: every
+        # answer comes from the memo, and nothing is evaluated.
+        before = get_json(f"{base}/metrics")["models"]["retail@1"]
         status = post_status(f"{base}/v1/predict?model=retail", body)
         assert status == 200, status
+        after = get_json(f"{base}/metrics")["models"]["retail@1"]
+        for counter in ("hom_checks", "backtrack_nodes", "vectorized_sweeps"):
+            assert after["engine"][counter] == before["engine"][counter], (
+                counter, before["engine"], after["engine"]
+            )
+        dimension = after["model"]["dimension"]
+        hits = after["engine"]["cache_hits"] - before["engine"]["cache_hits"]
+        assert hits == dimension, (hits, dimension)
 
         server.send_signal(signal.SIGTERM)
         _, stderr = server.communicate(timeout=60)

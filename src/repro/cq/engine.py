@@ -21,7 +21,12 @@ materialization (Section 3), QBE (Section 6), and GHW(k) classification
   the same facts (in which case every result coincides), and a hash
   collision between distinct databases is resolved by equality like in any
   dict.  Databases are immutable, so entries never go stale; derived
-  databases are new objects with new keys.
+  databases are new objects with new keys.  The answer memo is keyed by
+  one *canonical* instance per fact set (a weak-valued table, so it holds
+  only databases something else holds, in practice the memo's own keys):
+  a fresh but equal database, such as a re-sent serving request, is
+  matched to it once, and each of its lookups then hits by identity
+  instead of comparing whole fact sets.
 - **Batching.**  :meth:`evaluate_statistic` and :meth:`indicator_matrix`
   evaluate each feature query once per database and read vectors off the
   answer sets, instead of re-deriving candidates per ``selects`` call.
@@ -46,6 +51,7 @@ over a process-wide default engine; the frozen uncached reference lives in
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import OrderedDict
 from functools import partial
 from typing import (
@@ -340,6 +346,10 @@ class EvaluationEngine:
             from repro.store.warm import open_store
 
             self.store = open_store(store)
+        #: The canonical instance per fact set (see :meth:`_resolve`).
+        self._databases: "weakref.WeakValueDictionary[Any, Database]" = (
+            weakref.WeakValueDictionary()
+        )
         self.counters = EngineCounters()
         self._plan_counters: Optional["PlanCounters"] = None
         #: Most recent reason a vectorized evaluation fell back, or None.
@@ -559,7 +569,18 @@ class EvaluationEngine:
         A query no step answers (no ``compute`` given) resolves to
         ``None``.  ``sweep=False`` skips the sweep for a ``compute`` that
         hands the queries to other engines, which sweep for themselves.
+
+        The memo and the store see the engine's canonical instance of
+        ``database``: the first live database with the same facts.  A
+        fresh but equal database (a re-sent request) then costs one hash
+        and one fact-set comparison here, and every memo lookup after that
+        matches by identity.  The table holds its databases weakly, so
+        the answer memo's keys are in practice what keeps an entry, and
+        the memo's LRU bounds the table.  ``compute`` keeps the caller's
+        instance; answers depend only on the facts, so both give the same
+        rows.
         """
+        database = self._databases.setdefault(database.facts, database)
         resolved: List[Optional[Rows]] = []
         pending: Dict[CQ, None] = {}  # insertion-ordered set
         for query in queries:

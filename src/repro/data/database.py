@@ -164,6 +164,8 @@ class Database:
         "_hash",
         "_index",
         "_digest",
+        # The engine's table of canonical instances holds databases weakly.
+        "__weakref__",
     )
 
     def __init__(

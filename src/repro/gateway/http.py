@@ -6,6 +6,10 @@ size limits, bodies by ``Content-Length`` or ``chunked`` transfer coding,
 keep-alive connection reuse, JSON responses, and chunked NDJSON response
 streaming for the delta-stream endpoint.
 
+Framing is strict (RFC 9112): a ``Content-Length`` is decimal digits and
+appears once, and a chunk size is hex digits.  A lenient reading lets two
+parsers of one byte stream disagree on where a request ends.
+
 Parsing errors surface as :class:`HttpError` carrying the status the
 connection handler should answer with (400/405/411/413/431/...), so the
 server loop stays a straight pipeline: read head → read body → route →
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from typing import (
     Any,
     AsyncIterator,
@@ -65,6 +70,11 @@ DEFAULT_MAX_BODY = 8 * 1024 * 1024
 
 _SUPPORTED_METHODS = frozenset(("GET", "POST", "HEAD", "PUT", "DELETE"))
 
+#: RFC 9112 framing numbers: ``int()`` would also take signs, ``_``
+#: separators and (in base 16) a ``0x`` prefix.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
 
 class HttpError(GatewayError):
     """A malformed or unserviceable request, with the HTTP status to send."""
@@ -106,13 +116,12 @@ class HttpRequest:
         raw = self.headers.get("content-length")
         if raw is None:
             return None
-        try:
-            length = int(raw)
-        except ValueError:
-            raise HttpError(400, f"invalid Content-Length {raw!r}") from None
-        if length < 0:
-            raise HttpError(400, f"negative Content-Length {raw!r}")
-        return length
+        if _CONTENT_LENGTH.fullmatch(raw):
+            try:
+                return int(raw)
+            except ValueError:  # past int()'s digit limit
+                pass
+        raise HttpError(400, f"invalid Content-Length {raw!r}")
 
     @property
     def chunked(self) -> bool:
@@ -172,11 +181,15 @@ async def read_head(
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
         try:
-            headers[name.decode("ascii").strip().lower()] = (
-                value.decode("latin-1").strip()
-            )
+            key = name.decode("ascii").strip().lower()
         except UnicodeDecodeError:
             raise HttpError(400, "header name is not ASCII")
+        if key == "content-length" and key in headers:
+            # The body's length is then ambiguous, and framing by the
+            # wrong copy reads body bytes as the next request (or the
+            # next request's bytes as body).
+            raise HttpError(400, "repeated Content-Length")
+        headers[key] = value.decode("latin-1").strip()
 
     return HttpRequest(method, unquote(path), query, headers, version)
 
@@ -195,12 +208,11 @@ async def _read_chunk(
         raise HttpError(400, "connection closed inside a chunk header")
     except asyncio.LimitOverrunError:
         raise HttpError(400, "chunk header over the stream limit")
-    try:
-        size = int(size_line.split(b";", 1)[0].strip(), 16)
-    except ValueError:
+    # The size, then optional whitespace before any ``;`` extension.
+    digits = size_line[:-2].split(b";", 1)[0].rstrip(b" \t")
+    if not _CHUNK_SIZE.fullmatch(digits):
         raise HttpError(400, f"malformed chunk size {size_line!r}")
-    if size < 0:
-        raise HttpError(400, "negative chunk size")
+    size = int(digits, 16)
     if size == 0:
         # Consume the (empty) trailer section.
         try:

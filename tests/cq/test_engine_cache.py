@@ -2,15 +2,21 @@
 
 Covers: hit/miss accounting of ``cache_info()``, which cache a ``q(D)``
 fill and a single pointed check each land in, freshness across new
-``Database`` objects, hash-collision non-aliasing, bounded LRU eviction,
+``Database`` objects, hash-collision non-aliasing, the canonical instance
+an equal database resolves through (and its bound), bounded LRU eviction,
 and ``clear()``.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 from repro.cq.engine import (
+    BACKENDS,
     EvaluationEngine,
     default_engine,
     set_default_engine,
@@ -18,7 +24,7 @@ from repro.cq.engine import (
 from repro.cq.homomorphism import SearchCounters
 from repro.cq.naive import naive_evaluate_unary
 from repro.cq.parser import parse_cq
-from repro.data import Database
+from repro.data import Database, EntitySchema, Fact
 
 
 @pytest.fixture
@@ -130,6 +136,89 @@ class TestFreshness:
         # Replays stay distinct too.
         assert engine.evaluate_unary(query, db1) == {"a"}
         assert engine.evaluate_unary(query, db2) == frozenset()
+
+
+def _count_eq(monkeypatch, calls, cls):
+    """Tally ``cls.__eq__`` calls into ``calls[cls.__name__]``."""
+    original = cls.__eq__
+
+    def counting(self, other):
+        calls[cls.__name__] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__eq__", counting)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestCanonicalInstance:
+    """An equal database resolves through the instance the memo keys."""
+
+    STATISTIC = (
+        "q(x) :- eta(x)",
+        "q(x) :- eta(x), E(x, y)",
+        "q(x) :- eta(x), E(y, x)",
+        "q(x) :- E(x, y), E(y, z)",
+    )
+
+    @pytest.mark.parametrize("copy", ["same-fact-set", "fresh-facts"])
+    def test_repeat_request_matches_by_identity(
+        self, backend, copy, database, monkeypatch
+    ):
+        statistic = [parse_cq(text) for text in self.STATISTIC]
+        engine = EvaluationEngine(backend=backend)
+        first = engine.evaluate_statistic(statistic, database)
+        if copy == "same-fact-set":
+            repeat = Database(database.facts)
+        else:  # what parsing a re-sent request body builds
+            repeat = Database(
+                Fact(fact.relation, fact.arguments) for fact in database
+            )
+        hits = engine.cache_details()["answers"].hits
+        work = engine.work_snapshot()
+        calls: Counter = Counter()
+        _count_eq(monkeypatch, calls, Database)
+        _count_eq(monkeypatch, calls, Fact)
+        second = engine.evaluate_statistic(statistic, repeat)
+        monkeypatch.undo()
+        assert second == first
+        assert engine.cache_details()["answers"].hits == hits + len(statistic)
+        after = engine.work_snapshot()
+        for counter in ("hom_checks", "backtrack_nodes", "vectorized_sweeps"):
+            assert after[counter] == work[counter], counter
+        assert calls["Database"] == 0
+        assert calls["Fact"] <= len(database)
+
+    def test_table_holds_only_what_the_memo_keys(self, backend, query):
+        engine = EvaluationEngine(cache_size=2, backend=backend)
+        refs = []
+        for i in range(6):
+            db = Database.from_tuples(
+                {"E": [("a", f"b{i}")], "eta": [("a",)]}
+            )
+            assert engine.evaluate_unary(query, db) == {"a"}
+            refs.append(weakref.ref(db))
+        del db
+        gc.collect()
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        # The answer memo keeps the last two databases; nothing else does.
+        assert alive == [4, 5]
+
+    def test_equal_facts_keep_their_own_entities(self, backend):
+        arities = {"E": 2, "eta": 1, "tag": 1}
+        facts = Database.from_tuples(
+            {"E": [("a", "b"), ("b", "c")], "eta": ["a"], "tag": ["b"]}
+        ).facts
+        by_eta = Database(facts, EntitySchema.from_arities(arities))
+        by_tag = Database(
+            facts, EntitySchema.from_arities(arities, entity_symbol="tag")
+        )
+        query = parse_cq("q(x) :- E(x, y), E(y, z)")
+        engine = EvaluationEngine(backend=backend)
+        assert engine.evaluate_statistic([query], by_eta) == {"a": (1,)}
+        hits = engine.cache_details()["answers"].hits
+        # The answer is shared, the entities are the caller's own.
+        assert engine.evaluate_statistic([query], by_tag) == {"b": (-1,)}
+        assert engine.cache_details()["answers"].hits == hits + 1
 
 
 class TestBoundedLru:

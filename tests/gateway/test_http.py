@@ -126,9 +126,33 @@ def test_oversized_body_is_413():
     assert error.value.status == 413
 
 
-def test_bad_content_length_is_400():
+@pytest.mark.parametrize(
+    "length",
+    [b"nan", b"+5", b"0_5", b"-5", b"0x5", b"5 5", b"\xb2", b"9" * 5000],
+    ids=["nan", "plus", "underscore", "minus", "hex", "two-numbers",
+         "superscript", "past-int-digit-limit"],
+)
+def test_bad_content_length_is_400(length):
+    """``int()`` takes ``+5`` and ``0_5``; RFC 9112 allows only digits."""
+    data = b"POST / HTTP/1.1\r\ncontent-length: " + length + b"\r\n\r\nhello"
     with pytest.raises(HttpError) as error:
-        run(body_of(b"POST / HTTP/1.1\r\ncontent-length: nan\r\n\r\n"))
+        run(body_of(data))
+    assert error.value.status == 400
+
+
+@pytest.mark.parametrize("second", [b"2", b"5"], ids=["differ", "equal"])
+def test_repeated_content_length_is_400(second):
+    """A second Content-Length is a 400, equal to the first or not.
+
+    Framing by the last copy read 2 bytes of a 5-byte body and left
+    ``llo`` on the connection as the start of the next request.
+    """
+    data = (
+        b"POST / HTTP/1.1\r\ncontent-length: 5\r\n"
+        b"Content-Length: " + second + b"\r\n\r\nhello"
+    )
+    with pytest.raises(HttpError) as error:
+        run(body_of(data))
     assert error.value.status == 400
 
 
@@ -204,8 +228,17 @@ CHUNKED_HEAD = (
         b"-5\r\nhello\r\n0\r\n\r\n",  # negative size
         b'e\r\n{"op": "init"}XY0\r\n\r\n',  # no CRLF after the data
         b"1" * 70000 + b"\r\n",  # size line past the stream limit
+        # int(size, 16) takes the rest; RFC 9112 allows only hex digits.
+        b"0x5\r\n[1,2]\r\n0\r\n\r\n",
+        b"+5\r\n[1,2]\r\n0\r\n\r\n",
+        b"0_5\r\n[1,2]\r\n0\r\n\r\n",
+        b" 5\r\n[1,2]\r\n0\r\n\r\n",
+        b"5\r\n[1,2]\r\n-0\r\n\r\n",
+        b"5\r\n[1,2]\r\n0x0\r\n\r\n",
     ],
-    ids=["negative-size", "missing-crlf", "overlong-size-line"],
+    ids=["negative-size", "missing-crlf", "overlong-size-line", "hex-prefix",
+         "plus", "underscore", "leading-space", "last-minus",
+         "last-hex-prefix"],
 )
 def test_malformed_chunk_is_400(read, framing):
     with pytest.raises(HttpError) as error:
@@ -217,26 +250,37 @@ def test_malformed_chunk_is_400(read, framing):
 def chunked_framings(draw):
     """A chunked body from drawn size lines and payloads.
 
-    Returns ``(raw, expected)``: ``expected`` is the decoded body when the
-    framing is well formed, else ``None``.
+    Returns ``(raw, expected, rejected)``: ``expected`` is the decoded
+    body when the framing is well formed, else ``None``; ``rejected`` says
+    the first size line is not bare hex digits, so no reader may accept
+    the body.
     """
     raw = b""
     payloads = []
     well_formed = True
-    for _ in range(draw(st.integers(0, 3))):
+    rejected = False
+    for index in range(draw(st.integers(0, 3))):
         payload = draw(st.binary(max_size=24))
         size = draw(st.one_of(st.just(len(payload)), st.integers(-40, 40)))
-        sign = "-" if size < 0 else draw(st.sampled_from(["", "+"]))
+        sign = "-" if size < 0 else draw(st.sampled_from(["", "+", "-"]))
         digits = "%x" % abs(size)
         if draw(st.booleans()):
             digits = digits.upper()
+        # int(size, 16) takes a 0x prefix and _ separators; RFC 9112 does not.
+        form = draw(st.sampled_from(["", "0x", "_"]))
+        if form == "0x":
+            digits = "0x" + digits
+        elif form == "_":
+            digits = "0_" + digits
         extension = draw(st.sampled_from(["", ";x", ";name=value", " ; q"]))
         terminator = draw(st.sampled_from([b"\r\n", b"", b"XY", b"\n"]))
         raw += f"{sign}{digits}{extension}\r\n".encode("ascii")
         raw += payload + terminator
         payloads.append(payload)
+        bare = sign == "" and form == ""
+        rejected |= index == 0 and not bare
         well_formed &= (
-            sign == "" and 0 < size == len(payload) and terminator == b"\r\n"
+            bare and 0 < size == len(payload) and terminator == b"\r\n"
         )
     if draw(st.booleans()):
         raw += b"0\r\n\r\n"
@@ -245,23 +289,27 @@ def chunked_framings(draw):
     expected = b"".join(payloads)
     if not well_formed or len(expected) > 48:
         expected = None
-    return raw, expected
+    return raw, expected, rejected
 
 
 @settings(max_examples=200, deadline=None)
 @given(chunked_framings())
 def test_chunk_framing_decodes_or_raises_http_error(framing):
-    raw, expected = framing
+    raw, expected, rejected = framing
     try:
         decoded = run(body_of(CHUNKED_HEAD + raw, max_body=48))
     except HttpError:
         decoded = None
     if expected is not None:
         assert decoded == expected
+    if rejected:
+        assert decoded is None
     try:
-        run(ndjson_of(CHUNKED_HEAD + raw, max_body=48))
+        items = run(ndjson_of(CHUNKED_HEAD + raw, max_body=48))
     except HttpError:
-        pass
+        items = None
+    if rejected:
+        assert items is None
 
 
 # ----------------------------------------------------------------------

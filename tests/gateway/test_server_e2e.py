@@ -498,6 +498,26 @@ def test_stream_malformed_chunk_is_400(premium_artifact_path, framing):
     assert "error" in json.loads(raw)
 
 
+def test_repeated_content_length_is_400_and_closes(premium_artifact_path):
+    """No copy frames the body, so no leftover byte becomes a request."""
+    registry = ModelRegistry()
+    registry.register("premium", premium_artifact_path)
+
+    async def scenario(gateway, client):
+        client.writer.write(
+            b"POST /v1/predict?model=premium HTTP/1.1\r\nhost: test\r\n"
+            b"content-length: 5\r\ncontent-length: 2\r\n\r\nhello"
+        )
+        await client.writer.drain()
+        reply = await client.read_response()
+        return reply, await asyncio.wait_for(client.reader.read(), 10)
+
+    (status, headers, raw), rest = serve(registry, scenario)
+    assert status == 400, raw
+    assert headers.get("connection") == "close"
+    assert rest == b""
+
+
 # ----------------------------------------------------------------------
 # One wire format: `repro predict` and the gateway reply alike
 # ----------------------------------------------------------------------
