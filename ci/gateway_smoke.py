@@ -5,8 +5,12 @@ plain HTTP: probes /healthz, scores one database via /v1/predict and
 checks the labels against a direct in-process InferenceService.predict,
 reads /metrics, posts a body with a numeric fact argument (400) and the
 valid body again (still 200, every answer a memo hit: no evaluation
-work, and one answer-memo hit per feature), and finally SIGTERMs the
-server expecting a graceful drain and exit code 0.
+work, and one answer-memo hit per feature).  Over raw sockets it then
+sends the valid body behind two heads that parsers frame differently
+(Content-Length beside Transfer-Encoding, and ``Content-Length :``),
+expecting a 400 and a closed connection for each and a 200 for the
+valid body afterwards, and finally SIGTERMs the server expecting a
+graceful drain and exit code 0.
 
 Backend is selected with GATEWAY_BACKEND (default "python") so the same
 script covers the pure-python and numpy legs of the matrix.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import urllib.error
@@ -60,6 +65,21 @@ def post_status(url: str, body: bytes) -> int:
             return reply.status
     except urllib.error.HTTPError as error:
         return error.code
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection.
+
+    A server that keeps the connection open fails this with a timeout.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 def main() -> None:
@@ -114,6 +134,20 @@ def main() -> None:
         dimension = after["model"]["dimension"]
         hits = after["engine"]["cache_hits"] - before["engine"]["cache_hits"]
         assert hits == dimension, (hits, dimension)
+
+        # Heads that parsers frame differently are refused and closed.
+        line = b"POST /v1/predict?model=retail HTTP/1.1\r\nhost: smoke\r\n"
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        for fields, payload in (
+            (b"content-length: 3\r\ntransfer-encoding: chunked\r\n", chunked),
+            (b"content-length : %d\r\n" % len(body), body),
+        ):
+            reply = raw_exchange(port, line + fields + b"\r\n" + payload)
+            head = reply.split(b"\r\n\r\n", 1)[0].lower()
+            assert head.startswith(b"http/1.1 400 "), reply
+            assert b"\r\nconnection: close" in head, reply
+        reply = get_json(f"{base}/v1/predict?model=retail", body)
+        assert reply["labels"] == expected, (reply, expected)
 
         server.send_signal(signal.SIGTERM)
         _, stderr = server.communicate(timeout=60)

@@ -14,7 +14,10 @@ search skips an atom list, and its whole subtree, when it has already
 visited an isomorphic list of the same length (the free variable held
 fixed): in preorder the earlier list's subtree is finished by then and
 mirrors the later one's, so the skipped subtree holds no new query and the
-output, order included, is what the unpruned search returns.
+output, order included, is what the unpruned search returns.  Each
+visited list's canonical form is computed once: it keys the prune and,
+when :func:`~repro.cq.core.core_of` returns the list's query itself,
+the deduplication too.
 """
 
 from __future__ import annotations
@@ -108,22 +111,18 @@ def _enumerate(
     # length, as repr strings: smaller than the nested tuples.
     visited: List[Set[str]] = [set() for _ in range(max_atoms + 1)]
 
-    def first_visit(length: int, query: CQ) -> bool:
-        try:
-            key = repr(query.canonical_form())
-        except QueryError:
-            # Over canonical_form's guard on existential variables, which
-            # only the core of a list must meet: visit it unpruned.
-            return True
-        if key in visited[length]:
-            return False
-        visited[length].add(key)
-        return True
+    def register(query: CQ, form: Optional[Tuple]) -> None:
+        """Keep ``query`` (its core, at the equivalence level) if new.
 
-    def register(query: CQ) -> None:
+        ``form`` is the query's canonical form when already computed; it
+        still holds when ``core_of`` returns the query itself.
+        """
         if dedupe == "equivalence":
-            query = core_of(query)
-        form = query.canonical_form()
+            core = core_of(query)
+            if core is not query:
+                query, form = core, None
+        if form is None:
+            form = query.canonical_form()
         if form in seen:
             return
         seen.add(form)
@@ -140,10 +139,21 @@ def _enumerate(
             # A list without the free variable is keyed as a Boolean CQ,
             # whose form never equals that of a list with it.
             key = CQ(atoms, ())
-        if key is not None and not first_visit(len(atoms), key):
-            return
+        form: Optional[Tuple] = None
+        if key is not None:
+            try:
+                form = key.canonical_form()
+            except QueryError:
+                # Over canonical_form's guard on orderings, which only the
+                # core of a list must meet: visit it unpruned.
+                pass
+            else:
+                text = repr(form)
+                if text in visited[len(atoms)]:
+                    return
+                visited[len(atoms)].add(text)
         if query is not None:
-            register(query)
+            register(query, form)
         if len(atoms) == max_atoms:
             return
         used_variables: List[Variable] = [free_variable]

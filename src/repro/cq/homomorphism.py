@@ -108,16 +108,24 @@ def _order_facts(source: Database, seeded: Set[Element]) -> List[Fact]:
     """Greedy fact ordering: most already-touched elements first.
 
     Keeps the search connected so assignments propagate early; ties are
-    broken toward facts over rarer relations deterministically.  Repr keys
-    and element sets are computed once up front (decorate-sort) rather than
-    inside the sort and the O(n²) selection loop; the resulting order is
-    identical to the historical one.
+    broken toward facts over rarer relations deterministically.
     """
-    remaining: List[Tuple[Fact, FrozenSet[Element]]] = [
-        (fact, fact.elements)
-        for fact in sorted(source.facts, key=repr)
+    return _connected_order(sorted(source.facts, key=repr), seeded)
+
+
+def _connected_order(ranked: Sequence[Any], seeded: Set[Element]) -> List[Any]:
+    """:func:`_order_facts`' greedy rule on facts already sorted by ``repr``.
+
+    Each pick is the first remaining fact with the most touched elements,
+    then the fewest new ones.  Element sets are computed once up front
+    rather than inside the O(n²) selection loop.  Anything with
+    ``arguments`` orders alike, so :func:`repro.cq.core.core_of` orders
+    query atoms by the same rule.
+    """
+    remaining: List[Tuple[Any, FrozenSet[Element]]] = [
+        (fact, frozenset(fact.arguments)) for fact in ranked
     ]
-    ordered: List[Fact] = []
+    ordered: List[Any] = []
     touched = set(seeded)
     while remaining:
         best_index = 0

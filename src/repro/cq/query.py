@@ -13,6 +13,7 @@ the entity atom ``η(x)``; :meth:`CQ.feature` enforces this convention.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import (
     Dict,
     FrozenSet,
@@ -29,6 +30,10 @@ from repro.data.schema import ENTITY_SYMBOL, RelationSymbol, Schema
 from repro.exceptions import QueryError
 
 __all__ = ["CQ"]
+
+#: The most variable orderings :meth:`CQ.canonical_form` tries: 8!, the
+#: count for 8 existential variables in a single class.
+_MAX_ORDERINGS = math.factorial(8)
 
 
 class CQ:
@@ -280,19 +285,14 @@ class CQ:
         triples of its occurrences, where an atom's pattern writes each
         argument as its free-variable index or as its first position in
         the atom.  A renaming preserves signatures, so only orderings
-        within a class are tried, and in the small queries of the
-        enumeration use case (Section 4) most classes are singletons.
-        Limited to 8 existential variables.
+        within a class are tried: ∏ (class size)! of them, and one when
+        every class is a singleton, as in most queries of the enumeration
+        use case (Section 4).  Limited to 8! = 40,320 orderings, however
+        many existential variables there are.
         """
         free_index = {v: -1 - i for i, v in enumerate(self._free)}
-        existentials = self.existential_variables
-        if len(existentials) > 8:
-            raise QueryError(
-                "canonical_form is brute-force and limited to 8 existential "
-                f"variables, got {len(existentials)}"
-            )
         occurrences: Dict[Variable, List[Tuple]] = {
-            variable: [] for variable in existentials
+            variable: [] for variable in self.existential_variables
         }
         for atom in self._atoms:
             arguments = atom.arguments
@@ -307,25 +307,37 @@ class CQ:
         classes: Dict[Tuple, List[Variable]] = {}
         for variable, triples in occurrences.items():
             classes.setdefault(tuple(sorted(triples)), []).append(variable)
-        orderings = itertools.product(
-            *(itertools.permutations(classes[key]) for key in sorted(classes))
-        )
-        best: Optional[Tuple] = None
-        for ordering in orderings:
+        members = [classes[key] for key in sorted(classes)]
+        orderings = 1
+        for group in members:
+            orderings *= math.factorial(len(group))
+        if orderings > _MAX_ORDERINGS:
+            raise QueryError(
+                "canonical_form is brute-force and limited to "
+                f"{_MAX_ORDERINGS} orderings of existential variables, "
+                f"got {orderings}"
+            )
+
+        def form_of(ordering: Iterable[Variable]) -> Tuple:
             naming = dict(free_index)
-            for index, variable in enumerate(
-                itertools.chain.from_iterable(ordering)
-            ):
+            for index, variable in enumerate(ordering):
                 naming[variable] = index
-            form = tuple(
+            return tuple(
                 sorted(
                     (atom.relation, tuple(naming[v] for v in atom.arguments))
                     for atom in self._atoms
                 )
             )
-            if best is None or form < best:
-                best = form
-        assert best is not None
+
+        if orderings == 1:
+            best = form_of(group[0] for group in members)
+        else:
+            best = min(
+                form_of(itertools.chain.from_iterable(ordering))
+                for ordering in itertools.product(
+                    *(itertools.permutations(group) for group in members)
+                )
+            )
         return (len(self._free), best)
 
     # ------------------------------------------------------------------

@@ -7,8 +7,12 @@ keep-alive connection reuse, JSON responses, and chunked NDJSON response
 streaming for the delta-stream endpoint.
 
 Framing is strict (RFC 9112): a ``Content-Length`` is decimal digits and
-appears once, and a chunk size is hex digits.  A lenient reading lets two
-parsers of one byte stream disagree on where a request ends.
+appears once, never beside a ``Transfer-Encoding``, and a chunk size is
+hex digits.  Header fields are strict too: a field name is a token with
+the colon right after it, so whitespace before the colon, an empty name
+and an obs-fold continuation line are refused, as is a CR, LF or NUL in a
+field value.  A lenient reading lets two parsers of one byte stream
+disagree on where a request ends.
 
 Parsing errors surface as :class:`HttpError` carrying the status the
 connection handler should answer with (400/405/411/413/431/...), so the
@@ -74,6 +78,12 @@ _SUPPORTED_METHODS = frozenset(("GET", "POST", "HEAD", "PUT", "DELETE"))
 #: separators and (in base 16) a ``0x`` prefix.
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
+#: A header line: an RFC 9110 field name (a token), the colon right after
+#: it, and a value without the CR, LF and NUL that RFC 9110 §5.5 forbids.
+#: The token rules out whitespace before the colon, an empty name, and
+#: the leading whitespace of an obs-fold line.
+_FIELD_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\x00]*)")
 
 
 class HttpError(GatewayError):
@@ -175,21 +185,21 @@ async def read_head(
 
     headers: Dict[str, str] = {}
     for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(b":")
-        if not sep:
+        field = _FIELD_LINE.fullmatch(line)
+        if field is None:
             raise HttpError(400, f"malformed header line {line!r}")
-        try:
-            key = name.decode("ascii").strip().lower()
-        except UnicodeDecodeError:
-            raise HttpError(400, "header name is not ASCII")
+        name, value = field.groups()
+        key = name.decode("ascii").lower()
         if key == "content-length" and key in headers:
             # The body's length is then ambiguous, and framing by the
             # wrong copy reads body bytes as the next request (or the
             # next request's bytes as body).
             raise HttpError(400, "repeated Content-Length")
-        headers[key] = value.decode("latin-1").strip()
+        headers[key] = value.decode("latin-1").strip(" \t")
+    if "content-length" in headers and "transfer-encoding" in headers:
+        # A parser that frames by the length and one that frames by the
+        # coding split the stream in different places (RFC 9112 §6.1).
+        raise HttpError(400, "both Content-Length and Transfer-Encoding")
 
     return HttpRequest(method, unquote(path), query, headers, version)
 

@@ -13,7 +13,9 @@ from repro.cq.enumeration import (
     enumerate_feature_queries,
     enumerate_unary_queries,
 )
+from repro.cq.query import CQ
 from repro.cq.terms import Atom, Variable
+from repro.data.database import Database
 from repro.data.schema import EntitySchema, Schema
 from repro.exceptions import QueryError
 
@@ -340,6 +342,59 @@ class TestExactOutputPins:
             "8f0f42b7b0377658f8202968df1d82177520d1ac58cf5596651888d9f25b71e7",
         )
 
+    def test_list_over_canonical_form_guard_is_visited_unpruned(self):
+        # Six disjoint edges E(v0,v1), ..., E(v10,v11) need 6!·6! orderings,
+        # over canonical_form's guard of 8!; their core E(v0,v1) needs one.
+        queries = enumerate_feature_queries(
+            EntitySchema.from_arities({"E": 2}), 6, max_occurrences=1
+        )
+        assert _pin(queries) == (
+            4,
+            "409421653a0f264eee2f85948315fe9be7b2aef364effab92237ef4552c07749",
+        )
+
+    def test_core_with_nine_existentials_in_three_atoms(self):
+        # R(v0,v1,v2), S(v3,v4,v5), T(v6,v7,v8) is a core with 9
+        # existential variables, each alone in its class: one ordering
+        # for canonical_form to try.
+        queries = enumerate_feature_queries(
+            EntitySchema.from_arities({"R": 3, "S": 3, "T": 3}),
+            3,
+            max_occurrences=1,
+        )
+        assert _pin(queries) == (
+            44,
+            "0c9339347b086ad2ecadb3d9e9f27fb88d3221e733834e6f43483a63369d2e0c",
+        )
+        assert max(len(q.existential_variables) for q in queries) == 9
+        for i, left in enumerate(queries):
+            for right in queries[i + 1:]:
+                assert not are_equivalent(left, right), (left, right)
+
+    def test_core_with_nine_existentials_in_one_atom(self):
+        queries = enumerate_feature_queries(
+            EntitySchema.from_arities({"R": 9}), 1
+        )
+        # The trivial query, then one query per argument pattern of R over
+        # x and fresh variables: the Bell number B(10) = 115,975.
+        assert _pin(queries) == (
+            115976,
+            "c1f37456cb0f543fc74152299128f0a27acc0eec94e708bce0768d3f80400db3",
+        )
+        # eta(x), R(s) and eta(x), R(t) are equivalent iff homomorphisms
+        # fixing x map R(s) onto R(t) and back, that is, iff s and t have
+        # the same equality pattern with x in the same places.  Distinct
+        # patterns thus make the queries pairwise inequivalent.
+        x = Variable("x")
+        patterns = set()
+        for query in queries[1:]:
+            (atom,) = [a for a in query.atoms if a.relation == "R"]
+            arguments = atom.arguments
+            patterns.add(
+                tuple(-1 if v == x else arguments.index(v) for v in arguments)
+            )
+        assert len(patterns) == len(queries) - 1
+
 
 class TestEnumerationWork:
     #: ``core_of`` calls of the unpruned enumeration of retail's CQ[3].
@@ -357,3 +412,31 @@ class TestEnumerationWork:
         assert len(enumerate_feature_queries(RETAIL, 3)) == 1224
         assert len(calls) <= self.UNPRUNED_CORE_CALLS // 3
         assert len(calls) == 2372
+
+    def test_retail_cq3_builds_no_database(self, monkeypatch):
+        # Cores are found on atom tuples; a retraction search over
+        # canonical databases builds 10,057 here.
+        built = []
+        init = Database.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "__init__", counting_init)
+        assert len(enumerate_feature_queries(RETAIL, 3)) == 1224
+        assert len(built) == 0
+
+    def test_retail_cq3_canonical_forms(self, monkeypatch):
+        # One form per visited list, reused when the list is its own
+        # core; a second form per registered list makes 9,245.
+        forms = []
+        canonical_form = CQ.canonical_form
+
+        def counting_canonical_form(query):
+            forms.append(query)
+            return canonical_form(query)
+
+        monkeypatch.setattr(CQ, "canonical_form", counting_canonical_form)
+        assert len(enumerate_feature_queries(RETAIL, 3)) == 1224
+        assert len(forms) <= 7895

@@ -156,6 +156,32 @@ def test_repeated_content_length_is_400(second):
     assert error.value.status == 400
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+        b"POST / HTTP/1.1\r\nX-Probe: 1\r\n Content-Length: 2\r\n\r\nhello",
+        b"POST / HTTP/1.1\r\n: x\r\ncontent-length: 5\r\n\r\nhello",
+        b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        b"POST / HTTP/1.1\r\nX-Probe: 1\nContent-Length: 2\r\n\r\nhello",
+        b"POST / HTTP/1.1\r\nX-Probe: 1\x00\r\ncontent-length: 5\r\n\r\nhello",
+    ],
+    ids=["space-before-colon", "obs-fold", "empty-name", "length-and-chunked",
+         "bare-lf-in-value", "nul-in-value"],
+)
+def test_malformed_header_field_is_400(data):
+    """RFC 9112 §5.1, §5.2 and §6.1; RFC 9110 §5.5 for field values.
+
+    Each head reads one way here and another way to a parser that strips
+    the name, unfolds the line, splits on a bare LF, or frames by the
+    other header.
+    """
+    with pytest.raises(HttpError) as error:
+        run(parse(data))
+    assert error.value.status == 400
+
+
 def test_get_without_body_reads_empty():
     assert run(body_of(b"GET / HTTP/1.1\r\n\r\n")) == b""
 
@@ -310,6 +336,67 @@ def test_chunk_framing_decodes_or_raises_http_error(framing):
         items = None
     if rejected:
         assert items is None
+
+
+# ----------------------------------------------------------------------
+# Header-field syntax
+# ----------------------------------------------------------------------
+
+#: Field names: tokens, then an empty name, inner whitespace, a character
+#: outside the token set, and non-ASCII bytes.
+FIELD_NAMES = ["X-Probe", "Host", "accept", "a.b~c!", "", "X Probe", "X@Probe",
+               "X-\xfc"]
+TOKEN_NAMES = frozenset(FIELD_NAMES[:4])
+
+
+@st.composite
+def header_heads(draw):
+    """A GET head with drawn header lines.
+
+    Each line draws its field name, a fold prefix (obs-fold), whitespace
+    before the colon, the colon itself, whitespace around the value, and
+    a CR, LF or NUL inside the value.  Returns ``(raw, expected)``:
+    ``expected`` is the header dict of the strict reading, or ``None``
+    when a line breaks the syntax and the head must be refused.
+    """
+    raw = b"GET / HTTP/1.1\r\n"
+    expected = {}
+    strict = True
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(FIELD_NAMES))
+        fold = draw(st.sampled_from(["", "", " ", "\t"]))
+        before = draw(st.sampled_from(["", "", " ", "\t"]))
+        colon = draw(st.sampled_from([":", ":", ""]))
+        after = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        value = draw(st.text(alphabet="abc 1-;=", max_size=8))
+        bad = draw(st.sampled_from(["", "", "", "\r", "\n", "\x00"]))
+        if bad:
+            cut = draw(st.integers(0, len(value)))
+            value = value[:cut] + bad + "v" + value[cut:]
+        trailing = draw(st.sampled_from(["", " ", "\t"]))
+        # An empty line would end the head early; it has no colon anyway.
+        line = f"{fold}{name}{before}{colon}{after}{value}{trailing}" or "-"
+        raw += line.encode("latin-1") + b"\r\n"
+        strict &= (
+            not fold and not before and colon == ":" and not bad
+            and name in TOKEN_NAMES
+        )
+        expected[name.lower()] = f"{after}{value}{trailing}".strip(" \t")
+    return raw + b"\r\n", expected if strict else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(header_heads())
+def test_header_fields_parse_strictly_or_raise_http_error(drawn):
+    raw, expected = drawn
+    try:
+        head = run(parse(raw))
+    except HttpError as error:
+        assert expected is None, (raw, error)
+        assert error.status == 400
+        return
+    assert expected is not None, raw
+    assert head.headers == expected
 
 
 # ----------------------------------------------------------------------

@@ -518,6 +518,40 @@ def test_repeated_content_length_is_400_and_closes(premium_artifact_path):
     assert rest == b""
 
 
+@pytest.mark.parametrize("case", ["length-and-chunked", "space-before-colon"])
+def test_ambiguous_head_is_400_and_closes(premium_artifact_path, case):
+    """A valid body behind a head that parsers frame differently is refused.
+
+    A lenient gateway frames the first by its chunked coding and the
+    second by its length, answers 200, and keeps the connection open.
+    """
+    registry = ModelRegistry()
+    registry.register("premium", premium_artifact_path)
+    body = json.dumps({"facts": facts_to_json(premium_eval(2, 5))}).encode()
+    if case == "length-and-chunked":
+        fields = b"content-length: 3\r\ntransfer-encoding: chunked\r\n"
+        payload = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    else:
+        fields = b"content-length : %d\r\n" % len(body)
+        payload = body
+
+    async def scenario(gateway, client):
+        client.writer.write(
+            b"POST /v1/predict?model=premium HTTP/1.1\r\nhost: test\r\n"
+            + fields
+            + b"\r\n"
+            + payload
+        )
+        await client.writer.drain()
+        reply = await client.read_response()
+        return reply, await asyncio.wait_for(client.reader.read(), 10)
+
+    (status, headers, raw), rest = serve(registry, scenario)
+    assert status == 400, raw
+    assert headers.get("connection") == "close"
+    assert rest == b""
+
+
 # ----------------------------------------------------------------------
 # One wire format: `repro predict` and the gateway reply alike
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ __all__ = [
     "training_databases",
     "unary_feature_queries",
     "general_queries",
+    "repeated_relation_queries",
     "hom_check_instances",
     "pm_one_vectors",
 ]
@@ -166,6 +167,46 @@ def general_queries(draw, max_atoms: int = 3, max_free: int = 2):
             atoms.append(Atom("E", (left, right)))
         else:
             atoms.append(Atom("R", (draw(st.sampled_from(variables)),)))
+    return CQ(atoms, tuple(free))
+
+
+@st.composite
+def repeated_relation_queries(
+    draw, max_atoms: int = 7, max_bound: int = 9, max_free: int = 2
+):
+    """CQs over {E/2, R/1, T/3} with one or two free variables.
+
+    Atoms draw their arguments from few variables, so relation symbols
+    repeat and atoms repeat arguments (``E(y0, y0)``, ``T(x0, y1, x0)``):
+    the queries whose cores are proper subqueries.  Up to ``max_bound``
+    existential variables, past the 8 that brute-force canonical forms
+    once allowed.
+    """
+    arities = {"E": 2, "R": 1, "T": 3}
+    relations = sorted(arities)
+    n_free = draw(st.integers(min_value=1, max_value=max_free))
+    free = [Variable(f"x{i}") for i in range(n_free)]
+    n_bound = draw(st.integers(min_value=1, max_value=max_bound))
+    variables = free + [Variable(f"y{i}") for i in range(n_bound)]
+    atoms = []
+    for variable in free:
+        relation = draw(st.sampled_from(relations))
+        rest = [
+            draw(st.sampled_from(variables))
+            for _ in range(arities[relation] - 1)
+        ]
+        atoms.append(Atom(relation, (variable, *rest)))
+    for _ in range(draw(st.integers(min_value=0, max_value=max_atoms))):
+        relation = draw(st.sampled_from(relations))
+        atoms.append(
+            Atom(
+                relation,
+                tuple(
+                    draw(st.sampled_from(variables))
+                    for _ in range(arities[relation])
+                ),
+            )
+        )
     return CQ(atoms, tuple(free))
 
 

@@ -15,11 +15,17 @@ from repro.cq.homomorphism import (
 )
 from repro.cq.terms import Variable
 from repro.data import Database, Fact
+from repro.exceptions import QueryError
 from repro.fo.isomorphism import pointed_isomorphic
 
+from tests.property.reference_cq import (
+    reference_canonical_form,
+    reference_core_of,
+)
 from tests.property.strategies import (
     edge_databases,
     entity_databases,
+    repeated_relation_queries,
     unary_feature_queries,
 )
 
@@ -105,6 +111,42 @@ class TestCanonicalFormProperties:
         assert (left.canonical_form() == right.canonical_form()) == (
             isomorphic
         )
+
+
+#: Feature queries and general CQs with repeated relations, self-loops and
+#: one or two free variables.
+_DIFFERENTIAL_QUERIES = st.one_of(
+    unary_feature_queries(max_atoms=5), repeated_relation_queries()
+)
+
+
+class TestAgainstReference:
+    """``core_of`` and ``canonical_form`` equal their frozen references.
+
+    Enumeration output depends on the exact core atoms and forms, not just
+    on their isomorphism classes, so these compare values, not shapes.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DIFFERENTIAL_QUERIES)
+    def test_core_of_matches_reference(self, query):
+        core = core_of(query)
+        reference = reference_core_of(query)
+        assert core.atoms == reference.atoms
+        assert core.free_variables == reference.free_variables
+        if core == query:
+            assert core is query
+        assert core_of(core) is core
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DIFFERENTIAL_QUERIES)
+    def test_canonical_form_matches_reference(self, query):
+        for subject in (query, reference_core_of(query)):
+            try:
+                expected = reference_canonical_form(subject)
+            except QueryError:
+                continue  # past the reference's 8 existential variables
+            assert subject.canonical_form() == expected
 
 
 class TestEvaluationProperties:
