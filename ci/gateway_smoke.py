@@ -6,11 +6,12 @@ checks the labels against a direct in-process InferenceService.predict,
 reads /metrics, posts a body with a numeric fact argument (400) and the
 valid body again (still 200, every answer a memo hit: no evaluation
 work, and one answer-memo hit per feature).  Over raw sockets it then
-sends the valid body behind two heads that parsers frame differently
-(Content-Length beside Transfer-Encoding, and ``Content-Length :``),
-expecting a 400 and a closed connection for each and a 200 for the
-valid body afterwards, and finally SIGTERMs the server expecting a
-graceful drain and exit code 0.
+sends the valid body behind three heads that parsers frame differently
+(Content-Length beside Transfer-Encoding, ``Content-Length :``, and a
+``gzip`` Transfer-Encoding repeated as ``chunked``), expecting a 400
+and a closed connection for each and a 200 for the valid body
+afterwards, and finally SIGTERMs the server expecting a graceful drain
+and exit code 0.
 
 Backend is selected with GATEWAY_BACKEND (default "python") so the same
 script covers the pure-python and numpy legs of the matrix.
@@ -141,6 +142,10 @@ def main() -> None:
         for fields, payload in (
             (b"content-length: 3\r\ntransfer-encoding: chunked\r\n", chunked),
             (b"content-length : %d\r\n" % len(body), body),
+            (
+                b"transfer-encoding: gzip\r\ntransfer-encoding: chunked\r\n",
+                chunked,
+            ),
         ):
             reply = raw_exchange(port, line + fields + b"\r\n" + payload)
             head = reply.split(b"\r\n\r\n", 1)[0].lower()

@@ -6,13 +6,14 @@ size limits, bodies by ``Content-Length`` or ``chunked`` transfer coding,
 keep-alive connection reuse, JSON responses, and chunked NDJSON response
 streaming for the delta-stream endpoint.
 
-Framing is strict (RFC 9112): a ``Content-Length`` is decimal digits and
-appears once, never beside a ``Transfer-Encoding``, and a chunk size is
-hex digits.  Header fields are strict too: a field name is a token with
-the colon right after it, so whitespace before the colon, an empty name
-and an obs-fold continuation line are refused, as is a CR, LF or NUL in a
-field value.  A lenient reading lets two parsers of one byte stream
-disagree on where a request ends.
+Framing is strict (RFC 9112): a ``Content-Length`` is decimal digits, a
+chunk size is hex digits, and a request carries at most one framing
+field, so a ``Content-Length`` or ``Transfer-Encoding`` appears once and
+never beside the other.  Header fields are strict too: a field name is a
+token with the colon right after it, so whitespace before the colon, an
+empty name and an obs-fold continuation line are refused, as is a CR, LF
+or NUL in a field value.  A lenient reading lets two parsers of one byte
+stream disagree on where a request ends.
 
 Parsing errors surface as :class:`HttpError` carrying the status the
 connection handler should answer with (400/405/411/413/431/...), so the
@@ -85,6 +86,9 @@ _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 #: the leading whitespace of an obs-fold line.
 _FIELD_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\x00]*)")
 
+#: The header fields that say where a body ends; a head carries one at most.
+_FRAMING_FIELDS = frozenset(("content-length", "transfer-encoding"))
+
 
 class HttpError(GatewayError):
     """A malformed or unserviceable request, with the HTTP status to send."""
@@ -146,10 +150,7 @@ class HttpRequest:
         return f"HttpRequest({self.method} {self.path})"
 
 
-async def read_head(
-    reader: asyncio.StreamReader,
-    max_header_bytes: int = MAX_HEADER_BYTES,
-) -> Optional[HttpRequest]:
+async def read_head(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Read and parse one request head, or ``None`` on clean EOF.
 
     A connection closed between requests (no bytes pending) is the normal
@@ -163,8 +164,8 @@ async def read_head(
         raise HttpError(400, "connection closed inside the request head")
     except asyncio.LimitOverrunError:
         raise HttpError(431, "request head exceeds the stream limit")
-    if len(raw) > max_header_bytes:
-        raise HttpError(431, f"request head over {max_header_bytes} bytes")
+    if len(raw) > MAX_HEADER_BYTES:
+        raise HttpError(431, f"request head over {MAX_HEADER_BYTES} bytes")
 
     lines = raw[:-4].split(b"\r\n")
     try:
@@ -190,16 +191,15 @@ async def read_head(
             raise HttpError(400, f"malformed header line {line!r}")
         name, value = field.groups()
         key = name.decode("ascii").lower()
-        if key == "content-length" and key in headers:
-            # The body's length is then ambiguous, and framing by the
-            # wrong copy reads body bytes as the next request (or the
-            # next request's bytes as body).
-            raise HttpError(400, "repeated Content-Length")
+        if key in _FRAMING_FIELDS and not _FRAMING_FIELDS.isdisjoint(headers):
+            # Parsers that frame by different fields, or by different
+            # copies of one, split the stream in different places (RFC
+            # 9112 §6.1): body bytes become the next request, or its
+            # bytes become body.
+            raise HttpError(
+                400, "more than one Content-Length or Transfer-Encoding"
+            )
         headers[key] = value.decode("latin-1").strip(" \t")
-    if "content-length" in headers and "transfer-encoding" in headers:
-        # A parser that frames by the length and one that frames by the
-        # coding split the stream in different places (RFC 9112 §6.1).
-        raise HttpError(400, "both Content-Length and Transfer-Encoding")
 
     return HttpRequest(method, unquote(path), query, headers, version)
 

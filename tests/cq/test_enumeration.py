@@ -332,8 +332,9 @@ class TestExactOutputPins:
 
     def test_ternary_prefix_over_canonical_form_guard(self):
         # T(v0,v1,v2), T(v3,v4,v5), T(v6,v7,v8) has 9 existential
-        # variables, over canonical_form's guard; its core T(v0,v1,v2) is
-        # not, so the list is visited unpruned rather than raising.
+        # variables, but canonical_form's guard counts orderings (at most
+        # 8!), and its three classes of three need 3!·3!·3! = 216: the
+        # list is canonicalized and pruned like any other.
         queries = enumerate_feature_queries(
             EntitySchema.from_arities({"T": 3}), 3, max_occurrences=1
         )

@@ -156,6 +156,23 @@ def test_repeated_content_length_is_400(second):
     assert error.value.status == 400
 
 
+@pytest.mark.parametrize("first", [b"gzip", b"identity", b"chunked"])
+def test_repeated_transfer_encoding_is_400(first):
+    """A second Transfer-Encoding is a 400, whatever the first one says.
+
+    Keeping the last copy framed ``gzip`` then ``chunked`` as a plain
+    chunked body, a coding the gateway cannot undo, and dropped an
+    ``identity`` another parser may frame by.
+    """
+    data = (
+        b"POST / HTTP/1.1\r\ntransfer-encoding: " + first + b"\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+    )
+    with pytest.raises(HttpError) as error:
+        run(body_of(data))
+    assert error.value.status == 400
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -347,29 +364,43 @@ def test_chunk_framing_decodes_or_raises_http_error(framing):
 FIELD_NAMES = ["X-Probe", "Host", "accept", "a.b~c!", "", "X Probe", "X@Probe",
                "X-\xfc"]
 TOKEN_NAMES = frozenset(FIELD_NAMES[:4])
+#: The fields that frame a body, each in three cases.
+FRAMING_NAMES = ["Transfer-Encoding", "transfer-encoding", "TRANSFER-ENCODING",
+                 "Content-Length", "content-length", "CONTENT-LENGTH"]
 
 
 @st.composite
 def header_heads(draw):
     """A GET head with drawn header lines.
 
-    Each line draws its field name, a fold prefix (obs-fold), whitespace
-    before the colon, the colon itself, whitespace around the value, and
-    a CR, LF or NUL inside the value.  Returns ``(raw, expected)``:
+    Each line draws its field name (a framing field half the time, so
+    heads repeat one often), then whether it is well-formed; a line that
+    need not be draws a fold prefix (obs-fold), whitespace before the
+    colon, the colon itself, and a CR, LF or NUL inside the value.  Every
+    line draws whitespace around its value.  Returns ``(raw, expected)``:
     ``expected`` is the header dict of the strict reading, or ``None``
-    when a line breaks the syntax and the head must be refused.
+    when a line breaks the syntax or the head has more than one framing
+    field, and must be refused.
     """
     raw = b"GET / HTTP/1.1\r\n"
     expected = {}
     strict = True
+    framing = 0
     for _ in range(draw(st.integers(1, 3))):
-        name = draw(st.sampled_from(FIELD_NAMES))
-        fold = draw(st.sampled_from(["", "", " ", "\t"]))
-        before = draw(st.sampled_from(["", "", " ", "\t"]))
-        colon = draw(st.sampled_from([":", ":", ""]))
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(FRAMING_NAMES))
+            framing += 1
+        else:
+            name = draw(st.sampled_from(FIELD_NAMES))
+        fold = before = bad = ""
+        colon = ":"
         after = draw(st.sampled_from(["", " ", "\t", " \t "]))
         value = draw(st.text(alphabet="abc 1-;=", max_size=8))
-        bad = draw(st.sampled_from(["", "", "", "\r", "\n", "\x00"]))
+        if not draw(st.booleans()):
+            fold = draw(st.sampled_from(["", "", " ", "\t"]))
+            before = draw(st.sampled_from(["", "", " ", "\t"]))
+            colon = draw(st.sampled_from([":", ":", ""]))
+            bad = draw(st.sampled_from(["", "", "", "\r", "\n", "\x00"]))
         if bad:
             cut = draw(st.integers(0, len(value)))
             value = value[:cut] + bad + "v" + value[cut:]
@@ -379,9 +410,10 @@ def header_heads(draw):
         raw += line.encode("latin-1") + b"\r\n"
         strict &= (
             not fold and not before and colon == ":" and not bad
-            and name in TOKEN_NAMES
+            and (name in TOKEN_NAMES or name in FRAMING_NAMES)
         )
         expected[name.lower()] = f"{after}{value}{trailing}".strip(" \t")
+    strict &= framing <= 1
     return raw + b"\r\n", expected if strict else None
 
 

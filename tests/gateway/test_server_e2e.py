@@ -518,22 +518,31 @@ def test_repeated_content_length_is_400_and_closes(premium_artifact_path):
     assert rest == b""
 
 
-@pytest.mark.parametrize("case", ["length-and-chunked", "space-before-colon"])
+@pytest.mark.parametrize(
+    "case", ["length-and-chunked", "space-before-colon", "gzip-then-chunked"]
+)
 def test_ambiguous_head_is_400_and_closes(premium_artifact_path, case):
     """A valid body behind a head that parsers frame differently is refused.
 
-    A lenient gateway frames the first by its chunked coding and the
-    second by its length, answers 200, and keeps the connection open.
+    A lenient gateway frames the first by its chunked coding, the second
+    by its length and the third by the last of its Transfer-Encoding
+    fields, answers 200, and keeps the connection open.
     """
     registry = ModelRegistry()
     registry.register("premium", premium_artifact_path)
     body = json.dumps({"facts": facts_to_json(premium_eval(2, 5))}).encode()
-    if case == "length-and-chunked":
-        fields = b"content-length: 3\r\ntransfer-encoding: chunked\r\n"
-        payload = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
-    else:
-        fields = b"content-length : %d\r\n" % len(body)
-        payload = body
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    fields, payload = {
+        "length-and-chunked": (
+            b"content-length: 3\r\ntransfer-encoding: chunked\r\n",
+            chunked,
+        ),
+        "space-before-colon": (b"content-length : %d\r\n" % len(body), body),
+        "gzip-then-chunked": (
+            b"transfer-encoding: gzip\r\ntransfer-encoding: chunked\r\n",
+            chunked,
+        ),
+    }[case]
 
     async def scenario(gateway, client):
         client.writer.write(
