@@ -23,6 +23,7 @@ from repro.cq.evaluation import (
     selects,
 )
 from repro.cq.homomorphism import (
+    HomomorphismProgram,
     SearchCounters,
     all_homomorphisms,
     find_homomorphism,
@@ -33,7 +34,6 @@ from repro.cq.homomorphism import (
 )
 from repro.cq.parser import parse_cq
 from repro.cq.plan import (
-    HomomorphismProgram,
     PlanCounters,
     QueryPlan,
     YannakakisPlan,

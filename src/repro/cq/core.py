@@ -8,11 +8,13 @@ deduplicate feature queries up to semantic equivalence, not just isomorphism.
 :func:`core_of` works on the query's atom tuple and builds no database.  It
 first *pins* the variables every endomorphism must fix; when all of them
 are pinned the query is already a core.  Otherwise it drops one unpinned
-variable at a time, searching for an endomorphism whose image avoids it
-in the order :func:`~repro.cq.homomorphism.find_homomorphism` would, so
-it retracts onto the same subquery as a search over the canonical
-database.  A query that is already a core comes back as the input object
-itself.
+variable at a time, searching for an endomorphism whose image avoids it.
+The search takes the source atoms most-connected first (the greedy rule of
+:func:`~repro.cq.homomorphism._connected_order`, seeded with the free
+variables) and tries the image atoms of each relation in ``repr`` order.
+A homomorphism search over the canonical database visits candidates in the
+same order, so both retract onto the same subquery.  A query that is
+already a core comes back as the input object itself.
 """
 
 from __future__ import annotations

@@ -72,10 +72,10 @@ from typing import (
 
 import numpy
 
-from repro.cq.homomorphism import SearchCounters, has_homomorphism
+from repro.cq.homomorphism import HomomorphismProgram, SearchCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.cq.plan import HomomorphismProgram, PlanCounters, QueryPlan
+    from repro.cq.plan import PlanCounters, QueryPlan
     from repro.runtime.executor import Executor
 from repro.cq.query import CQ
 from repro.data.database import Database
@@ -466,18 +466,17 @@ class EvaluationEngine:
         source: Database,
         target: Database,
         fixed: Optional[Mapping[Element, Element]] = None,
-        program: Optional["HomomorphismProgram"] = None,
+        program: Optional[HomomorphismProgram] = None,
     ) -> bool:
         """Memoized ``source → target`` extending ``fixed``.
 
         The hom memo holds single pointed checks like this one (from
         :meth:`selects`, :meth:`pointed_has_homomorphism`, and direct
         calls); the per-candidate checks inside a ``q(D)`` computation
-        bypass it.  When a precompiled ``program`` (over ``source``,
-        seeded with the keys of ``fixed``) is given, a cache miss executes
-        it instead of the direct search — the decision is identical, only
-        the per-check query-side analysis is skipped and the search tree
-        is pruned through the target's ``facts_at`` index.
+        bypass it.  A cache miss runs ``program`` (a plan's program over
+        ``source``, seeded with the keys of ``fixed``) when one is given,
+        and otherwise compiles one for this check; the decision is the
+        same, a given program only skips the query-side analysis.
         """
         frozen = frozenset(fixed.items()) if fixed else frozenset()
         key = (source, target, frozen)
@@ -489,12 +488,9 @@ class EvaluationEngine:
             if decision is not None:
                 self._hom_cache.store(key, decision)
                 return decision
-        if program is not None:
-            result = program.run(target, fixed, self.counters.search)
-        else:
-            result = has_homomorphism(
-                source, target, fixed, self.counters.search
-            )
+        if program is None:
+            program = HomomorphismProgram.compile(source, tuple(fixed or ()))
+        result = program.run(target, fixed, self.counters.search)
         self._hom_cache.store(key, result)
         return result
 
@@ -619,7 +615,8 @@ class EvaluationEngine:
     ) -> List[Rows]:
         """``q(D)`` per query, by its compiled backtracking program.
 
-        One run of the plan's :class:`~repro.cq.plan.HomomorphismProgram`
+        One run of the plan's
+        :class:`~repro.cq.homomorphism.HomomorphismProgram`
         per candidate assignment of the free variables (candidates
         pre-filtered through the database index).  The runs bypass the hom
         memo: the answer memo already covers the whole ``q(D)``.

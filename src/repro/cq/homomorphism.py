@@ -4,16 +4,23 @@ A homomorphism from ``D`` to ``D'`` is a map ``h : dom(D) → dom(D')`` with
 ``R(h(ā)) ∈ D'`` for every fact ``R(ā) ∈ D``.  The pointed variant
 ``(D, ā) → (D', b̄)`` additionally requires ``h(ā) = b̄``.
 
-The search is a backtracking constraint solver over the *facts* of the source
-database: facts are ordered to maximize connectivity with already-assigned
-elements, and positional-occurrence candidate sets provide a cheap
-arc-consistency-style prefilter.  Deciding existence is NP-complete in
-general; the instances in this library are small by design.
+Every check runs one backtracking search, a :class:`HomomorphismProgram`:
+a constraint solver over the *facts* of the source database, compiled once
+per ``(source, seeded elements)`` pair and reusable against any target.
+Compilation fixes the fact order (most already-touched elements first, so
+assignments propagate early), per-element *occurrence signatures* (a
+positional, arc-consistency-style prefilter answered by index lookups), a
+*zip schedule* recording per fact slot which elements are already bound,
+and per-fact *lookup slots* that enumerate only the target facts whose
+indexed position matches an already-bound element.  Deciding existence is
+NP-complete in general; the instances in this library are small by design.
 
-The prefilter reads the target's lazily-built
-:class:`~repro.data.database.DatabaseIndex`, so repeated checks against the
-same database never rebuild its occurrence table; pass a
-:class:`SearchCounters` to tally the work actually done.  Memoization of
+:func:`all_homomorphisms` and the functions built on it compile a program
+per call; :class:`~repro.cq.plan.QueryPlan` compiles one per CQ and the
+engine reuses it across databases.  The search reads the target's
+lazily-built :class:`~repro.data.database.DatabaseIndex`, so repeated
+checks against the same database never rebuild its occurrence table; pass
+a :class:`SearchCounters` to tally the work actually done.  Memoization of
 whole check results lives one level up, in :mod:`repro.cq.engine`.
 """
 
@@ -37,6 +44,7 @@ from repro.exceptions import DatabaseError
 
 __all__ = [
     "SearchCounters",
+    "HomomorphismProgram",
     "find_homomorphism",
     "has_homomorphism",
     "all_homomorphisms",
@@ -48,17 +56,14 @@ __all__ = [
 Element = Any
 Assignment = Dict[Element, Element]
 
-#: Sentinel for "not bound yet" (``None`` is a legal database element, so
-#: it cannot play that role).
-_UNSET = object()
-
 
 class SearchCounters:
     """Mutable tally of homomorphism-search work.
 
     ``hom_checks`` counts top-level searches started; ``backtrack_nodes``
     counts candidate target facts tried (search-tree nodes expanded).  Both
-    the instrumented path here and the frozen naive path in
+    :class:`HomomorphismProgram` (whether a plan runs it or a per-call
+    function compiled it) and the frozen naive oracle in
     :mod:`repro.cq.naive` accept one, so benchmarks can compare work done,
     not just wall-clock.
     """
@@ -74,34 +79,6 @@ class SearchCounters:
             f"SearchCounters(hom_checks={self.hom_checks}, "
             f"backtrack_nodes={self.backtrack_nodes})"
         )
-
-
-def _positional_candidates(
-    source: Database, target: Database
-) -> Optional[Dict[Element, Set[Element]]]:
-    """For each source element, the targets allowed by positional occurrence.
-
-    If a source element occurs at position ``i`` of relation ``R``, its image
-    must occur at position ``i`` of some ``R``-fact of the target.  Returns
-    ``None`` if some source element has no candidate at all (no homomorphism
-    exists).  The target side reads the database's cached index instead of
-    rescanning its facts.
-    """
-    target_positions = target.index.positions
-
-    candidates: Dict[Element, Set[Element]] = {}
-    for fact in source.facts:
-        for index, element in enumerate(fact.arguments):
-            allowed = target_positions.get((fact.relation, index))
-            if allowed is None:
-                return None
-            if element in candidates:
-                candidates[element] &= allowed
-                if not candidates[element]:
-                    return None
-            else:
-                candidates[element] = set(allowed)
-    return candidates
 
 
 def _order_facts(source: Database, seeded: Set[Element]) -> List[Fact]:
@@ -143,6 +120,236 @@ def _connected_order(ranked: Sequence[Any], seeded: Set[Element]) -> List[Any]:
     return ordered
 
 
+class HomomorphismProgram:
+    """A compiled backtracking search for one source database.
+
+    Compiled once per ``(source, seeded elements)`` pair and reusable
+    against any target database.  ``seeded`` is the set of source elements
+    that every ``fixed`` assignment passed to :meth:`run` will bind (for a
+    CQ plan: the free variables) — the fact order and the zip schedule
+    depend on it, so :meth:`run` rejects assignments over a different key
+    set rather than silently searching with a stale schedule.
+    """
+
+    __slots__ = (
+        "source",
+        "seeded",
+        "_signatures",
+        "_relations",
+        "_slots",
+        "_lookups",
+    )
+
+    def __init__(
+        self,
+        source: Database,
+        seeded: FrozenSet[Element],
+        signatures: Tuple[Tuple[Element, Tuple[Tuple[str, int], ...]], ...],
+        relations: Tuple[str, ...],
+        slots: Tuple[Tuple[Tuple[Element, bool], ...], ...],
+        lookups: Tuple[Optional[Tuple[int, Element]], ...],
+    ) -> None:
+        self.source = source
+        self.seeded = seeded
+        self._signatures = signatures
+        self._relations = relations
+        self._slots = slots
+        self._lookups = lookups
+
+    @classmethod
+    def compile(
+        cls, source: Database, seeded: Sequence[Element] = ()
+    ) -> "HomomorphismProgram":
+        """Analyze ``source`` once: signatures, fact order, zip schedule."""
+        seeded_set = frozenset(seeded)
+
+        # Per-element occurrence signature: every (relation, position) the
+        # element occupies.  At run time the candidate set of the element
+        # is the intersection of the target index's occurrence sets over
+        # this signature — no rescan of either side.
+        occurrence: Dict[Element, Set[Tuple[str, int]]] = {}
+        for fact in source.facts:
+            for position, element in enumerate(fact.arguments):
+                occurrence.setdefault(element, set()).add(
+                    (fact.relation, position)
+                )
+        signatures = tuple(
+            (element, tuple(sorted(pairs)))
+            for element, pairs in sorted(
+                occurrence.items(), key=lambda item: repr(item[0])
+            )
+        )
+
+        # The greedy connectivity order is computed once, seeded with the
+        # elements every run-time assignment will have bound already.
+        facts = _order_facts(source, set(seeded_set))
+
+        # Zip schedule: per fact slot, (element, bound-before?) — True when
+        # the element is seeded, bound by an earlier fact in the order, or
+        # repeated from an earlier position of the same fact.  Lookup
+        # slots: the first position whose element is bound before the fact
+        # *starts*, usable to enumerate only matching target facts.
+        bound: Set[Element] = set(seeded_set)
+        relations: List[str] = []
+        slots: List[Tuple[Tuple[Element, bool], ...]] = []
+        lookups: List[Optional[Tuple[int, Element]]] = []
+        for fact in facts:
+            lookup: Optional[Tuple[int, Element]] = None
+            for position, element in enumerate(fact.arguments):
+                if lookup is None and element in bound:
+                    lookup = (position, element)
+            slot: List[Tuple[Element, bool]] = []
+            seen_now: Set[Element] = set()
+            for element in fact.arguments:
+                slot.append((element, element in bound or element in seen_now))
+                seen_now.add(element)
+            bound |= seen_now
+            relations.append(fact.relation)
+            slots.append(tuple(slot))
+            lookups.append(lookup)
+
+        return cls(
+            source,
+            seeded_set,
+            signatures,
+            tuple(relations),
+            tuple(slots),
+            tuple(lookups),
+        )
+
+    # ------------------------------------------------------------------
+
+    def _options(
+        self, level: int, assignment: Assignment, index: Any
+    ) -> Tuple:
+        lookup = self._lookups[level]
+        relation = self._relations[level]
+        if lookup is not None:
+            position, element = lookup
+            return index.facts_at.get(
+                (relation, position, assignment[element]), ()
+            )
+        return index.facts_by_relation.get(relation, ())
+
+    def solutions(
+        self,
+        target: Database,
+        fixed: Optional[Mapping[Element, Element]] = None,
+        counters: Optional[SearchCounters] = None,
+    ) -> Iterator[Assignment]:
+        """Yield every homomorphism into ``target`` extending ``fixed``.
+
+        ``fixed`` must bind the seeded elements this program was compiled
+        for; extra keys outside the source domain are carried through into
+        every yielded assignment.
+        """
+        assignment: Assignment = dict(fixed) if fixed else {}
+        if not self.seeded <= set(assignment):
+            raise DatabaseError(
+                "homomorphism program compiled for seeded elements "
+                f"{sorted(map(repr, self.seeded))}, but the assignment "
+                f"binds {sorted(map(repr, assignment))}"
+            )
+        if counters is not None:
+            counters.hom_checks += 1
+
+        index = target.index
+        positions = index.positions
+        candidates: Dict[Element, Set[Element]] = {}
+        for element, signature in self._signatures:
+            allowed: Optional[Set[Element]] = None
+            for key in signature:
+                occupied = positions.get(key)
+                if occupied is None:
+                    return
+                allowed = (
+                    set(occupied) if allowed is None else allowed & occupied
+                )
+                if not allowed:
+                    return
+            assert allowed is not None
+            candidates[element] = allowed
+        for element, image in assignment.items():
+            allowed = candidates.get(element)
+            if allowed is not None and image not in allowed:
+                return
+
+        n_facts = len(self._slots)
+        if n_facts == 0:
+            yield dict(assignment)
+            return
+        # Iterative depth-first search (an explicit stack: recursion depth
+        # would equal the fact count, which product databases can push past
+        # Python's recursion limit).  A frame is [options at this level
+        # (possibly index-pruned), next option index, elements bound here].
+        stack: List[List[Any]] = [
+            [self._options(0, assignment, index), 0, []]
+        ]
+        while stack:
+            frame = stack[-1]
+            options, option_index, bound_here = frame
+            for element in bound_here:
+                del assignment[element]
+            del bound_here[:]
+            level = len(stack) - 1
+            slot = self._slots[level]
+            advanced = False
+            while option_index < len(options):
+                target_fact = options[option_index]
+                option_index += 1
+                if counters is not None:
+                    counters.backtrack_nodes += 1
+                newly_bound: List[Element] = []
+                consistent = True
+                for (element, bound_before), image in zip(
+                    slot, target_fact.arguments
+                ):
+                    if bound_before:
+                        if assignment[element] != image:
+                            consistent = False
+                            break
+                    elif image not in candidates.get(element, ()):
+                        consistent = False
+                        break
+                    else:
+                        assignment[element] = image
+                        newly_bound.append(element)
+                if consistent:
+                    if level + 1 == n_facts:
+                        yield dict(assignment)
+                        for element in newly_bound:
+                            del assignment[element]
+                        continue  # leaf: try the next option directly
+                    frame[1] = option_index
+                    frame[2] = newly_bound
+                    stack.append(
+                        [self._options(level + 1, assignment, index), 0, []]
+                    )
+                    advanced = True
+                    break
+                for element in newly_bound:
+                    del assignment[element]
+            if not advanced:
+                stack.pop()
+
+    def run(
+        self,
+        target: Database,
+        fixed: Optional[Mapping[Element, Element]] = None,
+        counters: Optional[SearchCounters] = None,
+    ) -> bool:
+        """Whether a homomorphism into ``target`` extending ``fixed`` exists."""
+        for _ in self.solutions(target, fixed, counters):
+            return True
+        return False
+
+    def __repr__(self) -> str:
+        return (
+            f"HomomorphismProgram(facts={len(self._slots)}, "
+            f"seeded={sorted(map(repr, self.seeded))})"
+        )
+
+
 def all_homomorphisms(
     source: Database,
     target: Database,
@@ -151,78 +358,13 @@ def all_homomorphisms(
 ) -> Iterator[Assignment]:
     """Yield every homomorphism from ``source`` to ``target`` extending ``fixed``.
 
-    The yielded dictionaries are fresh copies covering all of ``dom(source)``
-    plus any extra keys provided in ``fixed``.
+    Compiles a :class:`HomomorphismProgram` for ``source`` seeded with the
+    keys of ``fixed`` and runs it once.  The yielded dictionaries are fresh
+    copies covering all of ``dom(source)`` plus any extra keys provided in
+    ``fixed``.
     """
-    if counters is not None:
-        counters.hom_checks += 1
-    assignment: Assignment = dict(fixed) if fixed else {}
-
-    candidates = _positional_candidates(source, target)
-    if candidates is None:
-        return
-    for element, image in assignment.items():
-        allowed = candidates.get(element)
-        if allowed is not None and image not in allowed:
-            return
-
-    facts = _order_facts(source, set(assignment))
-    target_by_relation = {
-        relation: target.facts_of(relation)
-        for relation in source.relation_names
-    }
-
-    # Iterative depth-first search (an explicit stack: recursion depth would
-    # equal the fact count, which product databases can push past Python's
-    # recursion limit).  stack[level] = (next target-fact index, newly bound
-    # elements at this level).
-    n_facts = len(facts)
-    if n_facts == 0:
-        yield dict(assignment)
-        return
-    stack: List[Tuple[int, List[Element]]] = [(0, [])]
-    while stack:
-        level = len(stack) - 1
-        index, bound_here = stack[-1]
-        for element in bound_here:
-            del assignment[element]
-        bound_here.clear()
-        fact = facts[level]
-        options = target_by_relation[fact.relation]
-        advanced = False
-        while index < len(options):
-            target_fact = options[index]
-            index += 1
-            if counters is not None:
-                counters.backtrack_nodes += 1
-            newly_bound: List[Element] = []
-            consistent = True
-            for element, image in zip(fact.arguments, target_fact.arguments):
-                bound = assignment.get(element, _UNSET)
-                if bound is not _UNSET:
-                    if bound != image:
-                        consistent = False
-                        break
-                elif image not in candidates.get(element, ()):
-                    consistent = False
-                    break
-                else:
-                    assignment[element] = image
-                    newly_bound.append(element)
-            if consistent:
-                if level + 1 == n_facts:
-                    yield dict(assignment)
-                    for bound in newly_bound:
-                        del assignment[bound]
-                    continue  # leaf level: try the next option directly
-                stack[-1] = (index, newly_bound)
-                stack.append((0, []))
-                advanced = True
-                break
-            for bound in newly_bound:
-                del assignment[bound]
-        if not advanced:
-            stack.pop()
+    program = HomomorphismProgram.compile(source, tuple(fixed or ()))
+    return program.solutions(target, fixed, counters)
 
 
 def find_homomorphism(

@@ -1,24 +1,20 @@
 """Compile-once query plans: amortizing query-side work across databases.
 
 The paper's tractability story (Table 1, Section 5) evaluates a *fixed*
-statistic — the same CQs — over *many* databases, yet the direct evaluators
-redo query-side analysis on every check: :func:`~repro.cq.homomorphism.
-all_homomorphisms` re-derives the positional-candidate prefilter and re-runs
-the greedy fact ordering per call, and the per-candidate decomposition
-evaluator in :mod:`repro.cq.structured_evaluation` re-materializes every bag
-relation once per candidate free value.  This module compiles each query
-once into a :class:`QueryPlan` and reuses the plan against arbitrary target
-databases:
+statistic — the same CQs — over *many* databases.  A check that starts from
+a bare source database redoes the query-side analysis every time:
+:func:`~repro.cq.homomorphism.all_homomorphisms` compiles a fresh
+:class:`~repro.cq.homomorphism.HomomorphismProgram` per call, and the
+per-candidate decomposition evaluator in
+:mod:`repro.cq.structured_evaluation` re-materializes every bag relation
+once per candidate free value.  This module compiles each query once into a
+:class:`QueryPlan` and reuses the plan against arbitrary target databases:
 
-- :class:`HomomorphismProgram` — the backtracking path, precompiled from a
-  source database (for a CQ, its canonical database): the fact order is
-  fixed at compile time, per-element *occurrence signatures* turn the
-  positional prefilter into pure index lookups against the target's
-  :class:`~repro.data.database.DatabaseIndex`, a *zip schedule* records per
-  fact slot which elements are already bound at that point, and per-fact
-  *lookup slots* let the search enumerate only the target facts whose
-  indexed position matches an already-bound element (the ``facts_at``
-  buckets) — strictly fewer search-tree nodes than scanning the relation.
+- :class:`~repro.cq.homomorphism.HomomorphismProgram` (defined with the
+  other homomorphism functions, re-exported here) — the backtracking path
+  over the query's canonical database, seeded with its free variables, so
+  the fact order, occurrence signatures, zip schedule and lookup slots are
+  derived once per query instead of once per check.
 - :class:`YannakakisPlan` — the bounded-ghw path, compiled from a tree
   decomposition: the free variable is kept as the leading column of *every*
   bag relation, so a single bottom-up semijoin pass over hash-joined bag
@@ -38,31 +34,21 @@ for every database the query is ever evaluated on — including across
 :meth:`~repro.cq.engine.EvaluationEngine.apply_delta` migrations, which is
 why the engine's plan cache survives streaming deltas untouched.  Plan
 execution is instrumented through the same
-:class:`~repro.cq.homomorphism.SearchCounters` as the direct search, plus
-:class:`PlanCounters` for the structured path's materialization work.
+:class:`~repro.cq.homomorphism.SearchCounters` as every other homomorphism
+check, plus :class:`PlanCounters` for the structured path's materialization
+work.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.cq.homomorphism import SearchCounters, _order_facts
+from repro.cq.homomorphism import HomomorphismProgram
 from repro.cq.query import CQ
 from repro.cq.terms import Variable
 from repro.cq.vectorized import VectorizedProgram
 from repro.data.database import Database
-from repro.exceptions import DatabaseError, DecompositionError, QueryError
+from repro.exceptions import DecompositionError, QueryError
 from repro.hypergraph.decomposition import TreeDecomposition
 
 __all__ = [
@@ -73,7 +59,6 @@ __all__ = [
 ]
 
 Element = Any
-Assignment = Dict[Element, Element]
 _Row = Tuple  # binding tuple over a bag's column order
 
 #: Sentinel for "no value yet" in pattern extraction (``None`` is a legal
@@ -105,239 +90,6 @@ class PlanCounters:
             f"PlanCounters(evaluations={self.evaluations}, "
             f"bag_relations={self.bag_relations}, "
             f"bag_rows={self.bag_rows}, semijoins={self.semijoins})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Backtracking: precompiled homomorphism programs
-# ----------------------------------------------------------------------
-
-
-class HomomorphismProgram:
-    """A compiled backtracking search for one source database.
-
-    Compiled once per ``(source, seeded elements)`` pair and reusable
-    against any target database.  ``seeded`` is the set of source elements
-    that every ``fixed`` assignment passed to :meth:`run` will bind (for a
-    CQ plan: the free variables) — the fact order and the zip schedule
-    depend on it, so :meth:`run` rejects assignments over a different key
-    set rather than silently searching with a stale schedule.
-    """
-
-    __slots__ = (
-        "source",
-        "seeded",
-        "_signatures",
-        "_relations",
-        "_slots",
-        "_lookups",
-    )
-
-    def __init__(
-        self,
-        source: Database,
-        seeded: FrozenSet[Element],
-        signatures: Tuple[Tuple[Element, Tuple[Tuple[str, int], ...]], ...],
-        relations: Tuple[str, ...],
-        slots: Tuple[Tuple[Tuple[Element, bool], ...], ...],
-        lookups: Tuple[Optional[Tuple[int, Element]], ...],
-    ) -> None:
-        self.source = source
-        self.seeded = seeded
-        self._signatures = signatures
-        self._relations = relations
-        self._slots = slots
-        self._lookups = lookups
-
-    @classmethod
-    def compile(
-        cls, source: Database, seeded: Sequence[Element] = ()
-    ) -> "HomomorphismProgram":
-        """Analyze ``source`` once: signatures, fact order, zip schedule."""
-        seeded_set = frozenset(seeded)
-
-        # Per-element occurrence signature: every (relation, position) the
-        # element occupies.  At run time the candidate set of the element
-        # is the intersection of the target index's occurrence sets over
-        # this signature — no rescan of either side.
-        occurrence: Dict[Element, Set[Tuple[str, int]]] = {}
-        for fact in source.facts:
-            for position, element in enumerate(fact.arguments):
-                occurrence.setdefault(element, set()).add(
-                    (fact.relation, position)
-                )
-        signatures = tuple(
-            (element, tuple(sorted(pairs)))
-            for element, pairs in sorted(
-                occurrence.items(), key=lambda item: repr(item[0])
-            )
-        )
-
-        # The greedy connectivity order is computed once, seeded with the
-        # elements every run-time assignment will have bound already.
-        facts = _order_facts(source, set(seeded_set))
-
-        # Zip schedule: per fact slot, (element, bound-before?) — True when
-        # the element is seeded, bound by an earlier fact in the order, or
-        # repeated from an earlier position of the same fact.  Lookup
-        # slots: the first position whose element is bound before the fact
-        # *starts*, usable to enumerate only matching target facts.
-        bound: Set[Element] = set(seeded_set)
-        relations: List[str] = []
-        slots: List[Tuple[Tuple[Element, bool], ...]] = []
-        lookups: List[Optional[Tuple[int, Element]]] = []
-        for fact in facts:
-            lookup: Optional[Tuple[int, Element]] = None
-            for position, element in enumerate(fact.arguments):
-                if lookup is None and element in bound:
-                    lookup = (position, element)
-            slot: List[Tuple[Element, bool]] = []
-            seen_now: Set[Element] = set()
-            for element in fact.arguments:
-                slot.append((element, element in bound or element in seen_now))
-                seen_now.add(element)
-            bound |= seen_now
-            relations.append(fact.relation)
-            slots.append(tuple(slot))
-            lookups.append(lookup)
-
-        return cls(
-            source,
-            seeded_set,
-            signatures,
-            tuple(relations),
-            tuple(slots),
-            tuple(lookups),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _options(
-        self, level: int, assignment: Assignment, index: Any
-    ) -> Tuple:
-        lookup = self._lookups[level]
-        relation = self._relations[level]
-        if lookup is not None:
-            position, element = lookup
-            return index.facts_at.get(
-                (relation, position, assignment[element]), ()
-            )
-        return index.facts_by_relation.get(relation, ())
-
-    def solutions(
-        self,
-        target: Database,
-        fixed: Optional[Mapping[Element, Element]] = None,
-        counters: Optional[SearchCounters] = None,
-    ) -> Iterator[Assignment]:
-        """Yield every homomorphism into ``target`` extending ``fixed``.
-
-        ``fixed`` must bind exactly the seeded elements this program was
-        compiled for (extra keys outside the source domain are carried
-        through, as with :func:`~repro.cq.homomorphism.all_homomorphisms`).
-        """
-        assignment: Assignment = dict(fixed) if fixed else {}
-        if not self.seeded <= set(assignment):
-            raise DatabaseError(
-                "homomorphism program compiled for seeded elements "
-                f"{sorted(map(repr, self.seeded))}, but the assignment "
-                f"binds {sorted(map(repr, assignment))}"
-            )
-        if counters is not None:
-            counters.hom_checks += 1
-
-        index = target.index
-        positions = index.positions
-        candidates: Dict[Element, Set[Element]] = {}
-        for element, signature in self._signatures:
-            allowed: Optional[Set[Element]] = None
-            for key in signature:
-                occupied = positions.get(key)
-                if occupied is None:
-                    return
-                allowed = (
-                    set(occupied) if allowed is None else allowed & occupied
-                )
-                if not allowed:
-                    return
-            assert allowed is not None
-            candidates[element] = allowed
-        for element, image in assignment.items():
-            allowed = candidates.get(element)
-            if allowed is not None and image not in allowed:
-                return
-
-        n_facts = len(self._slots)
-        if n_facts == 0:
-            yield dict(assignment)
-            return
-        # Same explicit-stack DFS shape as all_homomorphisms, except each
-        # frame carries its (possibly index-pruned) option tuple.
-        stack: List[List[Any]] = [
-            [self._options(0, assignment, index), 0, []]
-        ]
-        while stack:
-            frame = stack[-1]
-            options, option_index, bound_here = frame
-            for element in bound_here:
-                del assignment[element]
-            del bound_here[:]
-            level = len(stack) - 1
-            slot = self._slots[level]
-            advanced = False
-            while option_index < len(options):
-                target_fact = options[option_index]
-                option_index += 1
-                if counters is not None:
-                    counters.backtrack_nodes += 1
-                newly_bound: List[Element] = []
-                consistent = True
-                for (element, bound_before), image in zip(
-                    slot, target_fact.arguments
-                ):
-                    if bound_before:
-                        if assignment[element] != image:
-                            consistent = False
-                            break
-                    elif image not in candidates.get(element, ()):
-                        consistent = False
-                        break
-                    else:
-                        assignment[element] = image
-                        newly_bound.append(element)
-                if consistent:
-                    if level + 1 == n_facts:
-                        yield dict(assignment)
-                        for element in newly_bound:
-                            del assignment[element]
-                        continue  # leaf: try the next option directly
-                    frame[1] = option_index
-                    frame[2] = newly_bound
-                    stack.append(
-                        [self._options(level + 1, assignment, index), 0, []]
-                    )
-                    advanced = True
-                    break
-                for element in newly_bound:
-                    del assignment[element]
-            if not advanced:
-                stack.pop()
-
-    def run(
-        self,
-        target: Database,
-        fixed: Optional[Mapping[Element, Element]] = None,
-        counters: Optional[SearchCounters] = None,
-    ) -> bool:
-        """Whether a homomorphism into ``target`` extending ``fixed`` exists."""
-        for _ in self.solutions(target, fixed, counters):
-            return True
-        return False
-
-    def __repr__(self) -> str:
-        return (
-            f"HomomorphismProgram(facts={len(self._slots)}, "
-            f"seeded={sorted(map(repr, self.seeded))})"
         )
 
 

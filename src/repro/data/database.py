@@ -82,9 +82,9 @@ class DatabaseIndex:
       code needs only the index object);
     - ``facts_at`` maps ``(relation, position, element)`` to the tuple of
       facts with that element at that position — the hash buckets that let
-      a compiled :class:`~repro.cq.plan.HomomorphismProgram` enumerate only
-      the target facts compatible with an already-bound element, instead
-      of scanning the whole relation;
+      a :class:`~repro.cq.homomorphism.HomomorphismProgram` enumerate
+      only the target facts compatible with an already-bound element,
+      instead of scanning the whole relation;
     - ``sorted_domain`` is ``sorted(dom(D), key=repr)``, computed once so
       repeated structured evaluations stop re-sorting the domain;
     - :meth:`bitsets` packs the whole index into numpy bit-matrices for

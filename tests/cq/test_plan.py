@@ -6,14 +6,20 @@ import pytest
 
 from repro.cq.engine import EvaluationEngine
 from repro.cq.homomorphism import SearchCounters
-from repro.cq.naive import naive_evaluate_unary
+from repro.cq.naive import (
+    naive_all_homomorphisms,
+    naive_evaluate_unary,
+    naive_has_homomorphism,
+)
 from repro.cq.parser import parse_cq
 from repro.cq.plan import HomomorphismProgram, PlanCounters, QueryPlan
 from repro.cq.structured_evaluation import evaluate_with_decomposition
 from repro.data import Database, Fact
+from repro.data.schema import EntitySchema
 from repro.exceptions import DatabaseError, DecompositionError, QueryError
 from repro.hypergraph.ghw import decompose
 from repro.stream import Delta
+from repro.workloads.random_db import random_database
 
 
 @pytest.fixture
@@ -49,8 +55,6 @@ class TestHomomorphismProgram:
     @pytest.mark.parametrize("rule", QUERIES)
     def test_program_solutions_match_unplanned(self, rule, graph_database):
         query = parse_cq(rule)
-        from repro.cq.homomorphism import all_homomorphisms
-
         program = HomomorphismProgram.compile(
             query.canonical_database, query.free_variables
         )
@@ -63,15 +67,15 @@ class TestHomomorphismProgram:
                     program.solutions(graph_database, fixed),
                 )
             )
-            direct = sorted(
+            naive = sorted(
                 map(
                     sorted_items,
-                    all_homomorphisms(
+                    naive_all_homomorphisms(
                         query.canonical_database, graph_database, fixed
                     ),
                 )
             )
-            assert planned == direct
+            assert planned == naive
 
     def test_strictly_fewer_backtrack_nodes(self, graph_database):
         query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z), E(z, w)")
@@ -83,6 +87,28 @@ class TestHomomorphismProgram:
         )
         assert planned.counters.backtrack_nodes < unplanned.backtrack_nodes
         assert planned.counters.hom_checks == unplanned.hom_checks
+
+    def test_pointed_checks_without_a_plan_prune_like_plans(self):
+        # E3's 24-element CQ-SEP instance: every ordered entity pair is one
+        # pointed check with no plan to run, so the engine compiles one.
+        database = random_database(
+            EntitySchema.from_arities({"E": 2}), 24, 48, n_entities=8, seed=24
+        )
+        entities = sorted(database.entities(), key=repr)
+        engine = EvaluationEngine()
+        naive = SearchCounters()
+        for left in entities:
+            for right in entities:
+                if left == right:
+                    continue
+                assert engine.pointed_has_homomorphism(
+                    database, (left,), database, (right,)
+                ) == naive_has_homomorphism(
+                    database, database, {left: right}, naive
+                )
+        assert naive.hom_checks == 56
+        assert engine.counters.hom_checks == naive.hom_checks
+        assert engine.counters.backtrack_nodes < naive.backtrack_nodes
 
     def test_missing_relation_in_target(self):
         query = parse_cq("q(x) :- eta(x), F(x, x)")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -371,7 +373,7 @@ class TestPredictCommand:
     ):
         import json
 
-        payload = json.loads(open(model_file).read())
+        payload = json.loads(Path(model_file).read_text())
         payload["classifier"]["threshold"] += 1.0  # keep the old checksum
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(payload))
@@ -393,7 +395,7 @@ class TestPredictCommand:
     def test_reads_stdin(self, model_file, requests_file, capsys, monkeypatch):
         import io
 
-        payload = open(requests_file).read()
+        payload = Path(requests_file).read_text()
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         assert main(["predict", "-", "--model", model_file]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
@@ -416,7 +418,7 @@ class TestPredictCommand:
     ):
         import json
 
-        first = json.loads(open(requests_file).read().splitlines()[0])
+        first = json.loads(Path(requests_file).read_text().splitlines()[0])
         bare = tmp_path / "bare.jsonl"
         bare.write_text("\n" + json.dumps(first["facts"]) + "\n")
         assert main(["predict", str(bare), "--model", model_file]) == 0
@@ -542,7 +544,7 @@ class TestPredictStream:
     def test_reads_stdin(self, model_file, ops_file, capsys, monkeypatch):
         import io
 
-        payload = open(ops_file).read()
+        payload = Path(ops_file).read_text()
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         assert main(["predict", "-", "--model", model_file, "--stream"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
@@ -556,7 +558,7 @@ class TestPredictStream:
         assert "before init" in capsys.readouterr().err
 
     def test_duplicate_init_exits_2(self, model_file, ops_file, tmp_path, capsys):
-        lines = open(ops_file).read().splitlines()
+        lines = Path(ops_file).read_text().splitlines()
         path = tmp_path / "dup.jsonl"
         path.write_text("\n".join([lines[0], lines[0]]) + "\n")
         assert main(
