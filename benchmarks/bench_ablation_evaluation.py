@@ -6,7 +6,10 @@ queries of growing size over growing data, asserts identical answers, and
 reports the cost curves.  The "engine" column is the indexed + memoized
 :class:`~repro.cq.engine.EvaluationEngine` with a cold cache, so its edge
 over "naive" comes from the shared database index, not memoized replays
-(those are ablated separately in A6).
+(those are ablated separately in A6).  The "yannakakis" column is a cold
+engine's :meth:`~repro.cq.engine.EvaluationEngine.evaluate_ghw` at width 1:
+the decomposition search, the plan compilation and one single-pass
+evaluation.
 """
 
 from __future__ import annotations
@@ -14,10 +17,8 @@ from __future__ import annotations
 from repro.cq.engine import EvaluationEngine
 from repro.cq.naive import naive_evaluate_unary
 from repro.cq.query import CQ
-from repro.cq.structured_evaluation import evaluate_with_decomposition
 from repro.cq.terms import Atom, Variable
 from repro.data.schema import EntitySchema
-from repro.hypergraph.ghw import decompose
 from repro.workloads.random_db import random_database
 
 from harness import report, timed
@@ -47,8 +48,6 @@ def test_evaluation_engines(benchmark):
     rows = []
     for depth in (1, 2):
         query = _branching_query(depth)
-        decomposition = decompose(query, 1)
-        assert decomposition is not None
         for size in (15, 30):
             database = random_database(
                 SCHEMA, size, 3 * size, n_entities=size // 3, seed=size
@@ -61,8 +60,8 @@ def test_evaluation_engines(benchmark):
                 lambda q=query, d=database, g=engine: g.evaluate_unary(q, d)
             )
             structured_seconds, structured = timed(
-                lambda q=query, td=decomposition, d=database: (
-                    evaluate_with_decomposition(q, td, d)
+                lambda q=query, d=database: (
+                    EvaluationEngine().evaluate_ghw(q, d, 1)
                 )
             )
             assert naive == indexed == structured
@@ -92,8 +91,5 @@ def test_evaluation_engines(benchmark):
     )
 
     query = _branching_query(2)
-    decomposition = decompose(query, 1)
     database = random_database(SCHEMA, 30, 90, n_entities=10, seed=30)
-    benchmark(
-        lambda: evaluate_with_decomposition(query, decomposition, database)
-    )
+    benchmark(lambda: EvaluationEngine().evaluate_ghw(query, database, 1))

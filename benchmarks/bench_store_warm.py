@@ -173,7 +173,8 @@ def test_tampered_entries_are_quarantined_and_recomputed(benchmark):
         shard_dir = os.path.join(answers, shard)
         for entry in os.listdir(shard_dir):
             path = os.path.join(shard_dir, entry)
-            envelope = json.load(open(path))
+            with open(path) as handle:
+                envelope = json.load(handle)
             envelope["payload"]["answer"]["rows"] = [[["s", "TAMPERED"]]]
             with open(path, "w") as handle:
                 json.dump(envelope, handle)

@@ -38,7 +38,6 @@ from repro.cq.plan import (
     QueryPlan,
     YannakakisPlan,
 )
-from repro.cq.structured_evaluation import evaluate_with_decomposition
 from repro.cq.query import CQ
 from repro.cq.terms import Atom, Variable
 
@@ -61,7 +60,6 @@ __all__ = [
     "evaluate",
     "evaluate_unary",
     "evaluate_ghw",
-    "evaluate_with_decomposition",
     "selects",
     "indicator",
     "indicator_vector",

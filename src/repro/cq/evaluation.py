@@ -8,9 +8,8 @@ These module-level functions are thin compatible wrappers over the
 process-wide :class:`~repro.cq.engine.EvaluationEngine`, which attaches a
 lazily-built index to each database and memoizes query answers and
 pointed homomorphism checks; pass ``engine=`` to use a private engine
-(e.g. with its own cache bounds).  The uncached reference implementations
-live in :mod:`repro.cq.naive` (and, for bounded ghw,
-:mod:`repro.cq.structured_evaluation`).
+(e.g. with its own cache bounds).  The uncached reference implementation
+is the frozen oracle in :mod:`repro.cq.naive`.
 """
 
 from __future__ import annotations

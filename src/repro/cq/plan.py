@@ -4,11 +4,9 @@ The paper's tractability story (Table 1, Section 5) evaluates a *fixed*
 statistic — the same CQs — over *many* databases.  A check that starts from
 a bare source database redoes the query-side analysis every time:
 :func:`~repro.cq.homomorphism.all_homomorphisms` compiles a fresh
-:class:`~repro.cq.homomorphism.HomomorphismProgram` per call, and the
-per-candidate decomposition evaluator in
-:mod:`repro.cq.structured_evaluation` re-materializes every bag relation
-once per candidate free value.  This module compiles each query once into a
-:class:`QueryPlan` and reuses the plan against arbitrary target databases:
+:class:`~repro.cq.homomorphism.HomomorphismProgram` per call.  This module
+compiles each query once into a :class:`QueryPlan` and reuses the plan
+against arbitrary target databases:
 
 - :class:`~repro.cq.homomorphism.HomomorphismProgram` (defined with the
   other homomorphism functions, re-exported here) — the backtracking path
@@ -19,8 +17,8 @@ once per candidate free value.  This module compiles each query once into a
   decomposition: the free variable is kept as the leading column of *every*
   bag relation, so a single bottom-up semijoin pass over hash-joined bag
   relations decides all candidate values at once, and the answer is the
-  projection of the root onto the free column.  This removes the
-  ``O(|dom|)`` outer loop of the per-candidate reference evaluator.  (A
+  projection of the root onto the free column.  Each bag is therefore
+  materialized once per evaluation, not once per candidate value.  (A
   downward pass would fully reduce the non-root bags too, but is
   unnecessary when only the root is projected: after the upward pass every
   surviving root row already extends to a full join result.)
@@ -72,9 +70,8 @@ class PlanCounters:
     ``evaluations`` counts plan executions; ``bag_relations`` counts bag
     relations materialized; ``bag_rows`` counts rows produced while
     materializing them; ``semijoins`` counts upward-pass semijoin steps.
-    The per-candidate reference evaluator in
-    :mod:`repro.cq.structured_evaluation` accepts the same counters, so
-    benchmarks can compare the work shapes directly.
+    One evaluation materializes each bag of the decomposition at most once,
+    so ``bag_relations`` grows by at most the bag count per evaluation.
     """
 
     __slots__ = ("evaluations", "bag_relations", "bag_rows", "semijoins")
@@ -213,8 +210,7 @@ class YannakakisPlan:
             bags.append(_BagProgram(tuple(columns), tuple(steps), len(pad)))
         self._bags = tuple(bags)
 
-        # Tree traversal: DFS from node 0, exactly as the reference
-        # evaluator orders it, with parents precomputed.
+        # Tree traversal: DFS from node 0, with parents precomputed.
         n = len(decomposition.bags)
         adjacency: Dict[int, List[int]] = {i: [] for i in range(n)}
         for left, right in decomposition.edges:
@@ -252,12 +248,6 @@ class YannakakisPlan:
         self._semijoin_positions = semijoin
 
     # ------------------------------------------------------------------
-
-    @classmethod
-    def compile(
-        cls, query: CQ, decomposition: TreeDecomposition
-    ) -> "YannakakisPlan":
-        return cls(query, decomposition)
 
     @staticmethod
     def _pattern_rows(
@@ -456,12 +446,6 @@ class QueryPlan:
                 else YannakakisPlan(self.query, decomposition)
             )
         return self._structured[k]
-
-    def structured_for(
-        self, decomposition: TreeDecomposition
-    ) -> YannakakisPlan:
-        """Compile (uncached) a single-pass plan for an explicit decomposition."""
-        return YannakakisPlan(self.query, decomposition)
 
     def vectorized(self) -> Any:
         """The compiled :class:`~repro.cq.vectorized.VectorizedProgram`.

@@ -8,8 +8,8 @@ not.  This subsystem makes the stack delta-aware end to end:
   shared with :mod:`repro.data.io`;
 - :mod:`repro.stream.evolving` — :class:`EvolvingDatabase`: an immutable
   snapshot plus a replayable delta log, O(|delta|) application with
-  structural sharing of untouched relations, per-relation generation
-  counters, and a per-version ``materialize()`` provably equal to a
+  structural sharing of untouched relations, an effective delta per
+  application, and a per-version ``materialize()`` provably equal to a
   from-scratch rebuild;
 - :mod:`repro.stream.classifier` — :class:`StreamingClassifier`: after a
   delta, only feature queries mentioning a touched relation are

@@ -4,10 +4,9 @@
 keeps the current fact set as one mutable set per relation, so applying a
 :class:`~repro.stream.delta.Delta` costs O(|delta|) set operations —
 untouched relations are never copied, iterated, or re-indexed (structural
-sharing).  Per-relation *generation counters* record how many deltas have
-touched each relation; they are the cheap staleness test consumers use to
-decide whether derived state (cached query answers, feature columns) can
-survive a delta.
+sharing).  :meth:`~EvolvingDatabase.apply` returns the *effective* delta,
+whose ``touched_relations`` tell consumers which derived state (cached
+query answers, feature columns) a delta can invalidate.
 
 :meth:`materialize` produces the plain immutable
 :class:`~repro.data.database.Database` for the current version — by
@@ -26,7 +25,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -60,7 +58,6 @@ class EvolvingDatabase:
     __slots__ = (
         "_schema",
         "_relations",
-        "_generations",
         "_log",
         "_version",
         "_materialized",
@@ -75,9 +72,6 @@ class EvolvingDatabase:
         self._schema = schema
         self._relations: Dict[str, Set[Fact]] = {
             name: set(base.facts_of(name)) for name in base.relation_names
-        }
-        self._generations: Dict[str, int] = {
-            name: 0 for name in schema.names
         }
         self._log: List[Delta] = []
         self._version = 0
@@ -101,15 +95,6 @@ class EvolvingDatabase:
     def delta_log(self) -> Tuple[Delta, ...]:
         """The applied deltas, oldest first."""
         return tuple(self._log)
-
-    def generation(self, relation: str) -> int:
-        """How many applied deltas touched ``relation`` (0 if none ever)."""
-        return self._generations.get(relation, 0)
-
-    @property
-    def generations(self) -> Mapping[str, int]:
-        """A snapshot of all per-relation generation counters."""
-        return dict(self._generations)
 
     def facts_of(self, relation: str) -> FrozenSet[Fact]:
         """The current facts over ``relation`` (possibly empty)."""
@@ -207,10 +192,6 @@ class EvolvingDatabase:
                 facts.add(fact)
                 effective_adds.append(fact)
         effective = Delta(adds=effective_adds, removes=effective_removes)
-        for relation in effective.touched_relations:
-            self._generations[relation] = (
-                self._generations.get(relation, 0) + 1
-            )
         self._fact_count += len(effective_adds) - len(effective_removes)
         self._log.append(delta)
         self._version += 1

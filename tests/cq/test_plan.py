@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cq.engine import EvaluationEngine
+from repro.cq.evaluation import evaluate_ghw
 from repro.cq.homomorphism import SearchCounters
 from repro.cq.naive import (
     naive_all_homomorphisms,
@@ -12,8 +15,14 @@ from repro.cq.naive import (
     naive_has_homomorphism,
 )
 from repro.cq.parser import parse_cq
-from repro.cq.plan import HomomorphismProgram, PlanCounters, QueryPlan
-from repro.cq.structured_evaluation import evaluate_with_decomposition
+from repro.cq.plan import (
+    HomomorphismProgram,
+    PlanCounters,
+    QueryPlan,
+    YannakakisPlan,
+)
+from repro.cq.query import CQ
+from repro.cq.terms import Atom, Variable
 from repro.data import Database, Fact
 from repro.data.schema import EntitySchema
 from repro.exceptions import DatabaseError, DecompositionError, QueryError
@@ -146,30 +155,71 @@ def sorted_items(assignment):
     return sorted(assignment.items(), key=repr)
 
 
+def single_pass(query, database, k):
+    """``q(D)`` by a plan over a width-``k`` decomposition of ``query``."""
+    return YannakakisPlan(query, decompose(query, k)).evaluate(database)
+
+
 class TestYannakakisPlan:
     @pytest.mark.parametrize("rule", QUERIES)
     def test_single_pass_matches_reference_and_backtracking(
         self, rule, graph_database
     ):
         query = parse_cq(rule)
-        decomposition = decompose(query, 2)
-        plan = QueryPlan.compile(query)
-        single_pass = plan.structured_for(decomposition).evaluate(
-            graph_database
+        assert single_pass(query, graph_database, 2) == naive_evaluate_unary(
+            query, graph_database
         )
-        per_candidate = evaluate_with_decomposition(
-            query, decomposition, graph_database
+
+    def test_cyclic_query_with_k2(self, graph_database):
+        query = parse_cq("q(x) :- eta(x), E(a, b), E(b, c), E(c, a)")
+        assert single_pass(query, graph_database, 2) == naive_evaluate_unary(
+            query, graph_database
         )
-        assert single_pass == per_candidate
-        assert single_pass == naive_evaluate_unary(query, graph_database)
+
+    def test_empty_answer(self, graph_database):
+        # F does not exist in the database: the answer is empty.
+        query = parse_cq("q(x) :- eta(x), F(x, x)")
+        answer = single_pass(query, graph_database, 1)
+        assert answer == frozenset()
+        assert answer == naive_evaluate_unary(query, graph_database)
+
+    def test_none_element_binds_a_variable(self):
+        # F(x, x) needs equal arguments; F(None, "a") has none.
+        query = parse_cq("q(x) :- F(x, x)")
+        database = Database.from_tuples({"F": [(None, "a")]})
+        answer = single_pass(query, database, 1)
+        assert answer == frozenset()
+        assert answer == naive_evaluate_unary(query, database)
+
+    def test_random_tree_queries(self):
+        rng = random.Random(17)
+        database = Database.from_tuples(
+            {
+                "E": [(rng.randrange(6), rng.randrange(6)) for _ in range(10)],
+                "eta": [(i,) for i in range(4)],
+            }
+        )
+        x = Variable("x")
+        for _trial in range(15):
+            variables = [x] + [Variable(f"y{i}") for i in range(3)]
+            atoms = [Atom("eta", (x,))]
+            # Tree-shaped: each new variable hangs off an earlier one.
+            for i, fresh in enumerate(variables[1:], start=1):
+                anchor = rng.choice(variables[:i])
+                pair = (
+                    (anchor, fresh) if rng.random() < 0.5 else (fresh, anchor)
+                )
+                atoms.append(Atom("E", pair))
+            query = CQ(atoms, (x,))
+            answer = single_pass(query, database, 1)
+            assert answer == naive_evaluate_unary(query, database), query
+            assert evaluate_ghw(query, database, 1) == answer, query
 
     def test_unconstrained_bag_variables(self, graph_database):
         # E(y, z) is disconnected from x; a one-variable bag {y} leaves z
         # padded over the whole domain in the other bag.
         query = parse_cq("q(x) :- eta(x), E(y, z)")
-        decomposition = decompose(query, 1)
-        plan = QueryPlan.compile(query).structured_for(decomposition)
-        assert plan.evaluate(graph_database) == naive_evaluate_unary(
+        assert single_pass(query, graph_database, 1) == naive_evaluate_unary(
             query, graph_database
         )
 
@@ -202,29 +252,24 @@ class TestYannakakisPlan:
     def test_single_pass_builds_fewer_bags_than_per_candidate(
         self, graph_database
     ):
+        # One evaluation materializes each bag once, whatever |dom| is.
         query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z)")
         decomposition = decompose(query, 1)
-        single = PlanCounters()
-        QueryPlan.compile(query).structured_for(decomposition).evaluate(
-            graph_database, single
-        )
-        reference = PlanCounters()
-        evaluate_with_decomposition(
-            query, decomposition, graph_database, reference
-        )
-        assert single.bag_relations < reference.bag_relations
+        counters = PlanCounters()
+        YannakakisPlan(query, decomposition).evaluate(graph_database, counters)
+        assert counters.bag_relations == len(decomposition.bags)
 
     def test_non_unary_rejected(self):
         query = parse_cq("q(x, y) :- E(x, y)")
         decomposition = decompose(query, 1)
         with pytest.raises(QueryError):
-            QueryPlan.compile(query).structured_for(decomposition)
+            YannakakisPlan(query, decomposition)
 
     def test_foreign_decomposition_rejected(self):
         query = parse_cq("q(x) :- eta(x), E(x, y)")
         other = parse_cq("q(x) :- eta(x), E(y, x)")
         with pytest.raises(DecompositionError):
-            QueryPlan.compile(query).structured_for(decompose(other, 1))
+            YannakakisPlan(query, decompose(other, 1))
 
 
 class TestQueryPlan:
@@ -294,9 +339,7 @@ class TestEngineEvaluateGhw:
         query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z)")
         engine = EvaluationEngine()
         answer = engine.evaluate_ghw(query, graph_database, 1)
-        assert answer == evaluate_with_decomposition(
-            query, decompose(query, 1), graph_database
-        )
+        assert answer == naive_evaluate_unary(query, graph_database)
         # Second call answers from the shared answer cache.
         evaluations = engine.plan_counters.evaluations
         assert engine.evaluate_ghw(query, graph_database, 1) == answer
@@ -307,8 +350,6 @@ class TestEngineEvaluateGhw:
         assert engine.counters.backtrack_nodes == nodes
 
     def test_module_wrapper_runs_on_the_given_engine(self, graph_database):
-        from repro.cq import evaluate_ghw
-
         query = parse_cq("q(x) :- eta(x), E(x, y), E(y, z)")
         engine = EvaluationEngine()
         answer = evaluate_ghw(query, graph_database, 1, engine=engine)

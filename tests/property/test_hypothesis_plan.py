@@ -1,19 +1,21 @@
 """Property-based differential tests for compiled query plans.
 
-Three independent implementations must agree on every generated instance:
+Both compiled evaluators must agree with the frozen oracle in
+:mod:`repro.cq.naive` on every generated instance:
 
 1. **Planned backtracking vs frozen naive.**  An engine executing
    precompiled :class:`~repro.cq.homomorphism.HomomorphismProgram`\\ s
-   (the default) returns the same answers as the uncached reference in
-   :mod:`repro.cq.naive` — and a compiled program enumerates exactly the
-   same homomorphism sets as the naive search.
-2. **Single-pass Yannakakis vs per-candidate reference vs backtracking.**
-   The compiled single-pass plan (free variable as a column of every bag,
-   one upward semijoin pass) agrees with the per-candidate evaluator in
-   :mod:`repro.cq.structured_evaluation` and with the naive backtracking
-   answer on generated unary CQs and databases — including databases
-   missing whole relations and decompositions with unconstrained bag
-   variables.
+   (the default) returns the same answers as the uncached oracle — and a
+   compiled program enumerates exactly the same homomorphism sets as the
+   naive search.
+2. **Single-pass Yannakakis vs frozen naive.**  The compiled single-pass
+   plan (free variable as a column of every bag, one upward semijoin pass)
+   agrees with the naive backtracking answer on generated unary CQs and
+   databases — including databases missing whole relations and
+   decompositions with unconstrained bag variables.
+3. **One answer memo for both.**  An engine that answers a query through
+   the plan and through backtracking (either order) memoizes one answer,
+   which must be the oracle's on both backends.
 
 Mixed databases routinely lack relations the query mentions (the
 empty-relation edge), and generated feature queries routinely produce
@@ -23,12 +25,12 @@ cases are exercised by construction, not just by the dedicated examples.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 
-from repro.cq.engine import EvaluationEngine
+from repro.cq.engine import BACKENDS, EvaluationEngine
 from repro.cq.naive import naive_all_homomorphisms, naive_evaluate_unary
-from repro.cq.plan import HomomorphismProgram, QueryPlan
-from repro.cq.structured_evaluation import evaluate_with_decomposition
+from repro.cq.plan import HomomorphismProgram, YannakakisPlan
 from repro.data import Database, Fact
 from repro.hypergraph.ghw import decompose
 
@@ -85,31 +87,15 @@ class TestSinglePassYannakakisDifferential:
     def test_three_way_agreement(self, query, database):
         decomposition = decompose(query, 2)
         assert decomposition is not None  # tiny E-bodies have ghw <= 2
-        single_pass = (
-            QueryPlan.compile(query)
-            .structured_for(decomposition)
-            .evaluate(database)
-        )
-        per_candidate = evaluate_with_decomposition(
-            query, decomposition, database
-        )
-        backtracking = naive_evaluate_unary(query, database)
-        assert single_pass == per_candidate == backtracking
+        single_pass = YannakakisPlan(query, decomposition).evaluate(database)
+        assert single_pass == naive_evaluate_unary(query, database)
 
     @_SETTINGS
     @given(unary_feature_queries(), mixed_databases())
     def test_three_way_agreement_on_sparse_schemas(self, query, database):
         decomposition = decompose(query, 2)
         assert decomposition is not None
-        single_pass = (
-            QueryPlan.compile(query)
-            .structured_for(decomposition)
-            .evaluate(database)
-        )
-        per_candidate = evaluate_with_decomposition(
-            query, decomposition, database
-        )
-        assert single_pass == per_candidate
+        single_pass = YannakakisPlan(query, decomposition).evaluate(database)
         assert single_pass == naive_evaluate_unary(query, database)
 
     @_SETTINGS
@@ -118,9 +104,28 @@ class TestSinglePassYannakakisDifferential:
         database = Database((Fact("eta", (0,)),))
         decomposition = decompose(query, 2)
         assert decomposition is not None
-        single_pass = (
-            QueryPlan.compile(query)
-            .structured_for(decomposition)
-            .evaluate(database)
-        )
+        single_pass = YannakakisPlan(query, decomposition).evaluate(database)
         assert single_pass == naive_evaluate_unary(query, database)
+
+
+class TestSharedAnswerMemo:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @_SETTINGS
+    @given(unary_feature_queries(), entity_databases())
+    def test_ghw_and_unary_share_a_sound_memo(self, backend, query, database):
+        # evaluate_ghw and evaluate_unary read and fill one answer memo, so
+        # whichever answers first decides what the other returns.
+        expected = naive_evaluate_unary(query, database)
+        for ghw_first in (True, False):
+            engine = EvaluationEngine(backend=backend)
+            calls = [
+                lambda: engine.evaluate_ghw(query, database, 2),
+                lambda: engine.evaluate_unary(query, database),
+            ]
+            if not ghw_first:
+                calls.reverse()
+            first, second = calls
+            assert first() == expected
+            hits = engine.cache_details()["answers"].hits
+            assert second() == expected
+            assert engine.cache_details()["answers"].hits == hits + 1

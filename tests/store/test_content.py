@@ -48,9 +48,11 @@ def test_put_is_idempotent_and_byte_identical(store):
     key = {"name": "m"}
     store.put("model", key, {"v": 1})
     path = _entry_file(store, "model", key)
-    first = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        first = handle.read()
     store.put("model", key, {"v": 1})
-    assert open(path, "rb").read() == first
+    with open(path, "rb") as handle:
+        assert handle.read() == first
 
 
 def test_key_ordering_is_canonical(store):
@@ -74,7 +76,8 @@ def test_truncated_entry_is_quarantined_not_served(store):
     key = {"q": "x"}
     store.put("answer", key, {"rows": [["i", 1]]})
     path = _entry_file(store, "answer", key)
-    text = open(path).read()
+    with open(path) as handle:
+        text = handle.read()
     with open(path, "w") as handle:
         handle.write(text[: len(text) // 2])  # torn mid-file
     assert store.get("answer", key) is None
@@ -91,7 +94,8 @@ def test_bitflip_checksum_mismatch_is_quarantined(store):
     key = {"q": "x"}
     store.put("answer", key, {"value": 7})
     path = _entry_file(store, "answer", key)
-    envelope = json.load(open(path))
+    with open(path) as handle:
+        envelope = json.load(handle)
     envelope["payload"]["value"] = 8  # tamper, keep valid JSON
     with open(path, "w") as handle:
         json.dump(envelope, handle)
@@ -152,7 +156,8 @@ def test_newer_envelope_version_raises_not_quarantines(store):
     key = {"q": "x"}
     store.put("plan", key, {"p": 1})
     path = _entry_file(store, "plan", key)
-    envelope = json.load(open(path))
+    with open(path) as handle:
+        envelope = json.load(handle)
     envelope["version"] = STORE_VERSION + 1
     with open(path, "w") as handle:
         json.dump(envelope, handle)

@@ -104,7 +104,8 @@ def test_tampered_model_is_never_served(store, retail_artifact):
     path = os.path.join(
         store.root, "objects", "model", digest[:2], f"{digest}.json"
     )
-    envelope = json.load(open(path))
+    with open(path) as handle:
+        envelope = json.load(handle)
     envelope["payload"]["concept"] = "tampered"
     with open(path, "w") as handle:
         json.dump(envelope, handle)
@@ -118,7 +119,8 @@ def test_forward_version_refs_refuse_to_load(store, retail_artifact):
     model_store = ModelStore(store)
     model_store.publish("retail", retail_artifact)
     refs_path = os.path.join(store.root, "refs.json")
-    refs = json.load(open(refs_path))
+    with open(refs_path) as handle:
+        refs = json.load(handle)
     refs["version"] = REFS_VERSION + 1
     with open(refs_path, "w") as handle:
         handle.write(canonical_dump(refs))

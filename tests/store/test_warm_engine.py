@@ -126,7 +126,8 @@ def _tamper_answer_entries(root: str) -> int:
         shard_dir = os.path.join(objects, shard)
         for name in os.listdir(shard_dir):
             path = os.path.join(shard_dir, name)
-            envelope = json.load(open(path))
+            with open(path) as handle:
+                envelope = json.load(handle)
             envelope["payload"]["answer"]["rows"] = [[["s", "WRONG"]]]
             with open(path, "w") as handle:
                 json.dump(envelope, handle)

@@ -40,12 +40,6 @@ class TestConstruction:
         evolving.apply(Delta.insert("flag", "a"))
         assert fact("flag", "a") in evolving
 
-    def test_generations_start_at_zero_for_all_schema_relations(self, base):
-        schema = EntitySchema.from_arities({"E": 2, "eta": 1, "flag": 1})
-        evolving = EvolvingDatabase(base, schema=schema)
-        assert evolving.generation("flag") == 0
-        assert set(evolving.generations) >= {"E", "eta", "flag"}
-
 
 class TestValidation:
     def test_unknown_relation_is_rejected(self, base):
@@ -91,14 +85,6 @@ class TestApply:
         effective = evolving.apply(request)
         assert effective == Delta(adds=[fact("eta", "z")])
         assert effective.touched_relations == frozenset({"eta"})
-
-    def test_generations_advance_only_for_effective_relations(self, base):
-        evolving = EvolvingDatabase(base)
-        evolving.apply(
-            Delta(adds=[fact("eta", "a")], removes=[fact("E", "b", "c")])
-        )
-        assert evolving.generation("eta") == 0  # add was a no-op
-        assert evolving.generation("E") == 1
 
     def test_ineffective_delta_still_logs_and_versions(self, base):
         evolving = EvolvingDatabase(base)

@@ -24,7 +24,6 @@ MODULES = [
     "repro.cq.homomorphism",
     "repro.cq.evaluation",
     "repro.cq.plan",
-    "repro.cq.structured_evaluation",
     "repro.cq.containment",
     "repro.cq.core",
     "repro.cq.enumeration",
