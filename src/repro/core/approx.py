@@ -73,11 +73,10 @@ def cqm_approx_separability(
     """
     if not 0 <= epsilon < 1:
         raise SeparabilityError("epsilon must lie in [0, 1)")
-    statistic = Statistic(
-        feature_pool(training, max_atoms, max_occurrences)
-    )
+    pool = feature_pool(training, max_atoms, max_occurrences)
+    statistic = Statistic(pool)
     vectors, labels, entities = statistic.training_collection(
-        training, executor=executor
+        training, executor=executor, parents=pool.parents
     )
     if method == "exact":
         solution: ApproxSeparation = min_errors_exact(vectors, labels)

@@ -11,14 +11,13 @@ occurrences gives the PTIME class CQ[m, p] of Prop 4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.cq.engine import EvaluationEngine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.executor import Executor
-from repro.cq.enumeration import enumerate_feature_queries
-from repro.cq.query import CQ
+from repro.cq.enumeration import FeaturePool, enumerate_feature_queries
 from repro.data.labeling import TrainingDatabase
 from repro.data.schema import EntitySchema, RelationSymbol
 from repro.exceptions import SeparabilityError
@@ -57,12 +56,14 @@ def feature_pool(
     max_atoms: int,
     max_occurrences: Optional[int] = None,
     dedupe: str = "equivalence",
-) -> List[CQ]:
+) -> FeaturePool:
     """The full CQ[m] (or CQ[m, p]) statistic over the database's relations.
 
     Following the proof of Prop 4.1, only relation symbols that actually
     appear in the database are used (others cannot affect entity vectors:
-    a feature with an atom over an absent relation selects nothing).
+    a feature with an atom over an absent relation selects nothing).  The
+    returned :class:`~repro.cq.enumeration.FeaturePool` carries each
+    query's parent.
     """
     database = training.database
     entity_symbol = database.entity_symbol
@@ -97,14 +98,18 @@ def cqm_separability(
     training database.  A multi-worker executor shards the per-feature
     evaluations — the ``dimension`` independent CQ evaluations of Prop 4.1
     — across worker processes.
+
+    The fill follows the refinement order the enumeration walked: each
+    feature is evaluated only on the entities its parent in the pool
+    selects (see :mod:`repro.cq.enumeration`).  The parents go to this
+    fill only; the returned statistic and pair do not carry them.
     """
     if max_atoms < 0:
         raise SeparabilityError("max_atoms must be nonnegative")
-    statistic = Statistic(
-        feature_pool(training, max_atoms, max_occurrences, dedupe)
-    )
+    pool = feature_pool(training, max_atoms, max_occurrences, dedupe)
+    statistic = Statistic(pool)
     vectors, labels, entities = statistic.training_collection(
-        training, engine=engine, executor=executor
+        training, engine=engine, executor=executor, parents=pool.parents
     )
     classifier = find_separator(vectors, labels)
     vector_map = dict(zip(entities, vectors))

@@ -106,6 +106,7 @@ class Statistic:
         entities: Optional[Sequence[Element]] = None,
         engine: Optional[EvaluationEngine] = None,
         executor: Optional["Executor"] = None,
+        parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Dict[Element, Tuple[int, ...]]:
         """``Π^D`` over all (or the given) entities, evaluated batch-wise.
 
@@ -113,10 +114,13 @@ class Statistic:
         engine memoizes the answer), so the cost is ``dimension`` query
         evaluations rather than ``dimension × n`` pointed checks.  A
         multi-worker :class:`~repro.runtime.Executor` shards the
-        per-query evaluations across worker processes.
+        per-query evaluations across worker processes.  ``parents``
+        bounds each query's search by an earlier query's answers (see
+        :meth:`~repro.cq.engine.EvaluationEngine.evaluate_unary_batch`).
         """
         return (engine or default_engine()).evaluate_statistic(
-            self._queries, database, entities, executor=executor
+            self._queries, database, entities, executor=executor,
+            parents=parents,
         )
 
     def training_collection(
@@ -124,11 +128,17 @@ class Statistic:
         training: TrainingDatabase,
         engine: Optional[EvaluationEngine] = None,
         executor: Optional["Executor"] = None,
+        parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[List[Tuple[int, ...]], List[int], List[Element]]:
-        """``(Π^D(e), λ(e))`` rows in a deterministic entity order."""
+        """``(Π^D(e), λ(e))`` rows in a deterministic entity order.
+
+        ``parents`` belong to this fill, not to the statistic: the CQ[m]
+        fits pass the ones their enumeration recorded.
+        """
         entities = sorted(training.entities, key=repr)
         vector_map = self.vectors(
-            training.database, entities, engine=engine, executor=executor
+            training.database, entities, engine=engine, executor=executor,
+            parents=parents,
         )
         vectors = [vector_map[entity] for entity in entities]
         labels = [training.label(entity) for entity in entities]

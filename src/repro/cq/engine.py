@@ -30,6 +30,9 @@ materialization (Section 3), QBE (Section 6), and GHW(k) classification
 - **Batching.**  :meth:`evaluate_statistic` and :meth:`indicator_matrix`
   evaluate each feature query once per database and read vectors off the
   answer sets, instead of re-deriving candidates per ``selects`` call.
+  A batch may carry each query's *parent*: an earlier query whose answers
+  contain its own, as :mod:`repro.cq.enumeration` records for the CQ[m]
+  pool.  A query is then searched only on the entities its parent selects.
 - **Compiled plans.**  Each query is compiled once into a
   :class:`~repro.cq.plan.QueryPlan` (cached in its own LRU keyed by the
   query alone) whose precompiled homomorphism program replaces the
@@ -553,7 +556,9 @@ class EvaluationEngine:
         self,
         queries: Sequence[CQ],
         database: Database,
-        compute: Optional[Callable[[List[CQ]], Sequence[Rows]]],
+        compute: Optional[
+            Callable[[List[CQ], Dict[CQ, Rows]], Sequence[Rows]]
+        ],
         sweep: bool = True,
     ) -> List[Optional[Rows]]:
         """``q(D)`` rows per query, along the engine's one resolution path.
@@ -561,7 +566,9 @@ class EvaluationEngine:
         Each distinct query takes the first step that answers it: the
         answer memo, the warm-state store, a vectorized sweep (numpy
         backend only), then ``compute``, which maps the queries still
-        pending to their rows.  Computed rows are memoized and persisted.
+        pending to their rows.  ``compute`` also gets the rows the earlier
+        steps answered, by query: a swept answer is not memoized until
+        this call returns.  Computed rows are memoized and persisted.
         A query no step answers (no ``compute`` given) resolves to
         ``None``.  ``sweep=False`` skips the sweep for a ``compute`` that
         hands the queries to other engines, which sweep for themselves.
@@ -600,7 +607,13 @@ class EvaluationEngine:
                     computed[query] = rows
         remaining = [query for query in pending if query not in computed]
         if remaining and compute is not None:
-            computed.update(zip(remaining, compute(remaining)))
+            known = {
+                query: rows
+                for query, rows in zip(queries, resolved)
+                if rows is not None
+            }
+            known.update(computed)
+            computed.update(zip(remaining, compute(remaining, known)))
         for query, rows in computed.items():
             self._answer_cache.store((query, database), rows)
             if self.store is not None:
@@ -611,7 +624,11 @@ class EvaluationEngine:
         ]
 
     def _backtrack(
-        self, database: Database, queries: Sequence[CQ]
+        self,
+        database: Database,
+        bounds: Mapping[CQ, CQ],
+        queries: Sequence[CQ],
+        known: Mapping[CQ, Rows],
     ) -> List[Rows]:
         """``q(D)`` per query, by its compiled backtracking program.
 
@@ -620,24 +637,42 @@ class EvaluationEngine:
         per candidate assignment of the free variables (candidates
         pre-filtered through the database index).  The runs bypass the hom
         memo: the answer memo already covers the whole ``q(D)``.
+
+        ``bounds`` maps a unary query to its parent, a query whose answers
+        contain its own.  When the parent is answered, in ``known`` (the
+        earlier steps of :meth:`_resolve`) or earlier in ``queries``, the
+        free variable's candidates are cut to the parent's answers, so the
+        failing searches outside them never run.  The cut is exact: it
+        drops only candidates the query cannot select.  A query whose
+        candidates run out compiles no plan.
         """
+        answered: Dict[CQ, Rows] = {}
         answers: List[Rows] = []
         for query in queries:
             candidate_sets = self._free_variable_candidates(query, database)
+            # Without bounds (every serving batch) no query is hashed here.
+            parent = bounds.get(query) if bounds else None
+            if parent is not None:
+                rows = answered.get(parent, known.get(parent))
+                if rows is not None:
+                    candidate_sets[0].intersection_update(
+                        row[0] for row in rows
+                    )
             if not all(candidate_sets):
-                answers.append(frozenset())
-                continue
-            program = self.plan_for(query).program
-            free = query.free_variables
-            answers.append(
-                frozenset(
+                rows = frozenset()
+            else:
+                program = self.plan_for(query).program
+                free = query.free_variables
+                rows = frozenset(
                     values
                     for values in itertools.product(*candidate_sets)
                     if program.run(
                         database, dict(zip(free, values)), self.counters.search
                     )
                 )
-            )
+            if bounds:
+                answered[query] = rows
+            answers.append(rows)
         return answers
 
     def evaluate(self, query: CQ, database: Database) -> Rows:
@@ -648,7 +683,7 @@ class EvaluationEngine:
         any computation, and every computed answer is persisted.
         """
         (rows,) = self._resolve(
-            (query,), database, partial(self._backtrack, database)
+            (query,), database, partial(self._backtrack, database, {})
         )
         return rows
 
@@ -678,7 +713,7 @@ class EvaluationEngine:
         if structured is None:
             raise DecompositionError(f"query has ghw > {k}")
 
-        def single_pass(_: List[CQ]) -> List[Rows]:
+        def single_pass(_: List[CQ], __: Dict[CQ, Rows]) -> List[Rows]:
             answer = structured.evaluate(database, self.plan_counters)
             return [frozenset((element,) for element in answer)]
 
@@ -724,41 +759,75 @@ class EvaluationEngine:
     # Batch entry points
     # ------------------------------------------------------------------
 
-    def _evaluate_queries(
+    def evaluate_unary_batch(
         self,
         queries: Sequence[CQ],
         database: Database,
-        executor: Optional["Executor"],
+        executor: Optional["Executor"] = None,
+        parents: Optional[Sequence[Optional[int]]] = None,
     ) -> List[FrozenSet[Element]]:
         """Answer sets for a batch of unary queries, optionally sharded.
 
         The batch resolves in one pass.  Its compute step is the compiled
         backtracking program, or — with a multi-worker executor — shards
-        dispatched to worker processes (each running the same pure
-        :meth:`evaluate_unary` on its own engine), merged back in query
-        order and memoized here, so parallel results are bit-identical to
-        serial ones and later serial calls stay warm.
+        dispatched to worker processes (each running this same batch path
+        on its own engine), merged back in query order and memoized here,
+        so parallel results are bit-identical to serial ones and later
+        serial calls stay warm.
+
+        ``parents``, when given, has one entry per query: the index of an
+        earlier query whose answers contain this one's on every database,
+        or ``None``.  The backtracking step then searches a query only on
+        its parent's answers (see :meth:`_backtrack`); worker shards carry
+        each query's parent with it.  Answers are the same with or without
+        parents; wrong containments give wrong answers, so only pass what
+        is known to hold, like the ``parents`` of
+        :func:`~repro.cq.enumeration.enumerate_feature_queries`.
         """
         for query in queries:
             if not query.is_unary:
                 raise QueryError("evaluate_unary requires a unary CQ")
+        bounds: Dict[CQ, CQ] = {}
+        if parents is not None:
+            if len(parents) != len(queries):
+                raise QueryError("parents needs one entry per query")
+            for index, parent in enumerate(parents):
+                if parent is None:
+                    continue
+                if not 0 <= parent < index:
+                    raise QueryError(
+                        f"parent {parent} of query {index} is not an "
+                        "earlier query"
+                    )
+                bounds[queries[index]] = queries[parent]
         if executor is None or executor.workers <= 1 or len(queries) <= 1:
             resolved = self._resolve(
-                queries, database, partial(self._backtrack, database)
+                queries, database, partial(self._backtrack, database, bounds)
             )
         else:
             resolved = self._resolve(
                 queries,
                 database,
-                partial(self._dispatch, executor, database),
+                partial(self._dispatch, executor, database, bounds),
                 sweep=False,
             )
         return [frozenset(row[0] for row in rows) for rows in resolved]
 
     def _dispatch(
-        self, executor: "Executor", database: Database, queries: List[CQ]
+        self,
+        executor: "Executor",
+        database: Database,
+        bounds: Mapping[CQ, CQ],
+        queries: List[CQ],
+        _known: Mapping[CQ, Rows],
     ) -> List[Rows]:
-        """``q(D)`` per unary query, computed by the executor's workers."""
+        """``q(D)`` per unary query, computed by the executor's workers.
+
+        Each shard carries its queries' parents as queries.  Shards are
+        contiguous runs of the batch, so a parent is mostly in its child's
+        shard; the worker answers one from outside the shard itself,
+        which keeps each shard a pure function of its payload.
+        """
         # Local import: repro.runtime imports this module at load time.
         from repro.runtime.tasks import evaluate_unary_queries
 
@@ -769,7 +838,11 @@ class EvaluationEngine:
         answers = executor.run(
             evaluate_unary_queries,
             queries,
-            lambda chunk: (tuple(chunk), target),
+            lambda chunk: (
+                tuple(chunk),
+                tuple(bounds.get(query) for query in chunk),
+                target,
+            ),
         )
         return [
             frozenset((element,) for element in answer) for answer in answers
@@ -781,6 +854,7 @@ class EvaluationEngine:
         database: Database,
         elements: Sequence[Element],
         executor: Optional["Executor"] = None,
+        parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[Tuple[int, ...], ...]:
         """Rows ``Π^D(e)`` for each element, amortizing across elements.
 
@@ -789,9 +863,13 @@ class EvaluationEngine:
         evaluations instead of ``len(queries) × len(elements)`` independent
         ``selects`` candidate derivations.  With a multi-worker
         ``executor`` the query evaluations are sharded across worker
-        processes (order-preserving, bit-identical results).
+        processes (order-preserving, bit-identical results).  ``parents``
+        bounds each query's search by an earlier one's answers, as in
+        :meth:`evaluate_unary_batch`.
         """
-        answers = self._evaluate_queries(queries, database, executor)
+        answers = self.evaluate_unary_batch(
+            queries, database, executor, parents
+        )
         return tuple(
             tuple(1 if element in answer else -1 for answer in answers)
             for element in elements
@@ -803,17 +881,22 @@ class EvaluationEngine:
         database: Database,
         entities: Optional[Sequence[Element]] = None,
         executor: Optional["Executor"] = None,
+        parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Dict[Element, Tuple[int, ...]]:
         """``Π^D`` over all (or the given) entities, evaluated batch-wise.
 
         Accepts a :class:`~repro.core.statistic.Statistic` or any iterable
-        of unary feature queries, and an optional
-        :class:`~repro.runtime.Executor` to shard the per-query work.
+        of unary feature queries, an optional
+        :class:`~repro.runtime.Executor` to shard the per-query work, and
+        optional ``parents`` that bound each query's search (see
+        :meth:`evaluate_unary_batch`).
         """
         queries = list(statistic)
         if entities is None:
             entities = sorted(database.entities(), key=repr)
-        rows = self.indicator_matrix(queries, database, entities, executor)
+        rows = self.indicator_matrix(
+            queries, database, entities, executor, parents
+        )
         return dict(zip(entities, rows))
 
     # ------------------------------------------------------------------

@@ -18,11 +18,29 @@ output, order included, is what the unpruned search returns.  Each
 visited list's canonical form is computed once: it keys the prune and,
 when :func:`~repro.cq.core.core_of` returns the list's query itself,
 the deduplication too.
+
+The search also records the refinement order it walks.  Both
+enumerations return a :class:`FeaturePool`, a list whose ``parents`` give,
+per query, the index of the query of the atom list it grew from (its
+core, at the equivalence level), or ``None`` for a query grown from no
+query.  Adding an atom can only shrink a query's answers, so a parent's
+answers contain its children's on every database; in preorder the parent
+comes first.  :meth:`~repro.cq.engine.EvaluationEngine.evaluate_unary_batch`
+evaluates each query only on the entities its parent selects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cq.core import core_of
 from repro.cq.query import CQ
@@ -31,6 +49,7 @@ from repro.data.schema import ENTITY_SYMBOL, EntitySchema, Schema
 from repro.exceptions import QueryError
 
 __all__ = [
+    "FeaturePool",
     "enumerate_feature_queries",
     "enumerate_unary_queries",
     "count_feature_queries",
@@ -76,6 +95,21 @@ def _argument_tuples(
     yield from extend([], 0)
 
 
+class FeaturePool(List[CQ]):
+    """Enumerated queries, with the refinement order they were grown along.
+
+    ``parents[i]`` is the index of an earlier query whose answers contain
+    query ``i``'s on every database, or ``None``.  A slice, a sum or any
+    other new list is a plain list: its indices no longer match.
+    """
+
+    def __init__(
+        self, queries: Iterable[CQ], parents: Iterable[Optional[int]]
+    ) -> None:
+        super().__init__(queries)
+        self.parents: Tuple[Optional[int], ...] = tuple(parents)
+
+
 def _max_occurrences(atoms: Sequence[Atom]) -> int:
     counts: Dict[Variable, int] = {}
     for atom in atoms:
@@ -91,13 +125,20 @@ def _enumerate(
     free_variable: Variable,
     dedupe: str,
     entity_symbol: Optional[str],
-) -> List[CQ]:
+) -> FeaturePool:
     """The depth-first search behind both public enumerations.
 
     With an ``entity_symbol``, every atom list, the empty one included, is
     the body of the feature query ``CQ.feature(atoms)``.  Without one, a
     nonempty list is a unary CQ when the free variable occurs in it, and
     yields no query otherwise.
+
+    A query's parent is the pool entry of the list it grew from, the one
+    atom shorter prefix.  That entry is equivalent (isomorphic, under
+    ``dedupe="isomorphism"``) to the prefix, whose atoms the identity maps
+    into the longer list with the free variable fixed, so the parent's
+    answers contain the child's (Chandra–Merlin).  A list without the
+    free variable has no entry, so its children have no parent.
     """
     if max_occurrences is not None and max_occurrences < 1:
         raise QueryError("max_occurrences must be positive when given")
@@ -106,16 +147,21 @@ def _enumerate(
 
     relations = sorted(schema, key=lambda symbol: (symbol.name, symbol.arity))
     results: List[CQ] = []
-    seen: Set[Tuple] = set()
+    parents: List[Optional[int]] = []
+    # Each kept query's canonical form, mapped to its index in results.
+    seen: Dict[Tuple, int] = {}
     # The canonical forms of the visited atom lists, one set per list
     # length, as repr strings: smaller than the nested tuples.
     visited: List[Set[str]] = [set() for _ in range(max_atoms + 1)]
 
-    def register(query: CQ, form: Optional[Tuple]) -> None:
+    def register(
+        query: CQ, form: Optional[Tuple], parent: Optional[int]
+    ) -> int:
         """Keep ``query`` (its core, at the equivalence level) if new.
 
         ``form`` is the query's canonical form when already computed; it
-        still holds when ``core_of`` returns the query itself.
+        still holds when ``core_of`` returns the query itself.  Returns
+        the index of the query's entry, new or earlier.
         """
         if dedupe == "equivalence":
             core = core_of(query)
@@ -123,12 +169,16 @@ def _enumerate(
                 query, form = core, None
         if form is None:
             form = query.canonical_form()
-        if form in seen:
-            return
-        seen.add(form)
-        results.append(query.standardized())
+        index = seen.get(form)
+        if index is None:
+            index = seen[form] = len(results)
+            results.append(query.standardized())
+            parents.append(parent)
+        return index
 
-    def grow(atoms: List[Atom], fresh_count: int) -> None:
+    def grow(
+        atoms: List[Atom], fresh_count: int, parent: Optional[int]
+    ) -> None:
         query: Optional[CQ] = None
         if entity_symbol is not None:
             query = CQ.feature(atoms, free_variable, entity_symbol)
@@ -153,7 +203,9 @@ def _enumerate(
                     return
                 visited[len(atoms)].add(text)
         if query is not None:
-            register(query, form)
+            parent = register(query, form, parent)
+        else:
+            parent = None
         if len(atoms) == max_atoms:
             return
         used_variables: List[Variable] = [free_variable]
@@ -178,11 +230,11 @@ def _enumerate(
                         for variable in set(arguments)
                         if variable not in used_variables
                     )
-                    grow(atoms, fresh_count + new_fresh)
+                    grow(atoms, fresh_count + new_fresh, parent)
                 atoms.pop()
 
-    grow([], 0)
-    return results
+    grow([], 0, None)
+    return FeaturePool(results, parents)
 
 
 def enumerate_feature_queries(
@@ -192,7 +244,7 @@ def enumerate_feature_queries(
     free_variable: Variable = Variable("x"),
     entity_symbol: Optional[str] = None,
     dedupe: str = "equivalence",
-) -> List[CQ]:
+) -> FeaturePool:
     """All feature queries of ``CQ[m]`` (or ``CQ[m, p]``) over a schema.
 
     Parameters
@@ -216,9 +268,10 @@ def enumerate_feature_queries(
 
     Returns
     -------
-    list[CQ]
+    FeaturePool
         Feature queries in a deterministic order, each containing ``η(x)``.
-        The trivial query ``q(x) :- η(x)`` is always first.
+        The trivial query ``q(x) :- η(x)`` is always first, and is every
+        other query's ancestor in ``parents``.
     """
     if max_atoms < 0:
         raise QueryError("max_atoms must be nonnegative")
@@ -244,7 +297,7 @@ def enumerate_unary_queries(
     max_occurrences: Optional[int] = None,
     free_variable: Variable = Variable("x"),
     dedupe: str = "equivalence",
-) -> List[CQ]:
+) -> FeaturePool:
     """All unary CQs ``q(x)`` with at most ``max_atoms`` atoms over a schema.
 
     Unlike :func:`enumerate_feature_queries`, no entity atom is assumed: the

@@ -181,14 +181,28 @@ class YannakakisPlan:
         for bag in decomposition.bags:
             columns: List[Variable] = [free]
             steps: List[_AtomStep] = []
-            for atom in query.atoms:
-                if set(atom.arguments) == {free}:
-                    continue
-                if not all(
+            pending = [
+                atom
+                for atom in query.atoms
+                if set(atom.arguments) != {free}
+                and all(
                     variable == free or variable in bag
                     for variable in atom.arguments
-                ):
-                    continue
+                )
+            ]
+            while pending:
+                # Join next an atom that shares a column with the rows so
+                # far, so no step is a cross product while one can be
+                # avoided; fall back to query order when none does.
+                index = next(
+                    (
+                        position
+                        for position, atom in enumerate(pending)
+                        if any(v in columns for v in atom.arguments)
+                    ),
+                    0,
+                )
+                atom = pending.pop(index)
                 var_order = list(dict.fromkeys(atom.arguments))
                 pattern = tuple(
                     var_order.index(variable) for variable in atom.arguments

@@ -21,7 +21,16 @@ its worker — the per-worker analogue of the parent engine's counters.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cq.engine import (
     CacheInfo,
@@ -130,16 +139,39 @@ def run_instrumented(task_and_payload: Tuple[Task, Payload]) -> ShardOutcome:
 def evaluate_unary_queries(payload: Payload) -> Tuple[Any, ...]:
     """Answer sets of a shard of unary feature queries over one database.
 
-    Payload: ``(queries, database)`` — the database slot may be a
+    Payload: ``(queries, parents, database)``.  ``parents`` has one entry
+    per query: ``None``, or a query whose answers contain this one's (its
+    parent in the CQ[m] pool).  The database slot may be a
     :class:`~repro.runtime.broadcast.BroadcastRef`, resolved through this
     worker's resident cache (one fetch per worker, not per shard).
-    Returns one frozenset per query, in shard order — the unit of work
-    behind ``indicator_matrix`` and ``evaluate_statistic``.
+
+    The shard runs through the engine's batch path, each query bounded by
+    its parent's answers.  A parent from outside the shard is answered
+    here first, through this worker's memo, so the result depends on the
+    payload alone.  Returns one frozenset per query, in shard order — the
+    unit of work behind ``indicator_matrix`` and ``evaluate_statistic``.
     """
-    queries, database = payload
+    queries, parents, database = payload
     database = resolve(database)
-    engine = default_engine()
-    return tuple(engine.evaluate_unary(query, database) for query in queries)
+    inside = set(queries)
+    outside = [
+        parent
+        for parent in dict.fromkeys(parents)
+        if parent is not None and parent not in inside
+    ]
+    batch = outside + list(queries)
+    position: Dict[CQ, int] = {}
+    for index, query in enumerate(batch):
+        position.setdefault(query, index)
+    bounds: List[Optional[int]] = [None] * len(outside)
+    for index, parent in enumerate(parents, start=len(outside)):
+        # A parent that sits after its child in the shard bounds nothing.
+        at = None if parent is None else position[parent]
+        bounds.append(at if at is not None and at < index else None)
+    answers = default_engine().evaluate_unary_batch(
+        batch, database, parents=bounds
+    )
+    return tuple(answers[len(outside):])
 
 
 def pointed_hom_checks(payload: Payload) -> Tuple[bool, ...]:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cq.engine import EvaluationEngine, set_default_engine
 from repro.data import Database, TrainingDatabase
 from repro.exceptions import NotSeparableError, SeparabilityError
 from repro.core.languages import CQ_ALL, BoundedAtomsCQ, GhwClass
 from repro.core.pipeline import FeatureEngineeringSession
+from repro.workloads.molecules import molecule_database
+from repro.workloads.retail import retail_database
 
 
 @pytest.fixture
@@ -242,6 +245,52 @@ class TestEndToEndMatrix:
             path_training, BoundedAtomsCQ(2)
         ).classify(evaluation)
         assert labels == serial
+
+
+class TestArtifactChecksumPins:
+    """Three CQ[m] fits whose artifacts must not change with the fill.
+
+    The fill runs on the process-default engine, so a numpy row installs a
+    numpy default engine for the fit; a 2-worker row also fills through a
+    session-owned pool of that backend.  Every row must export the same
+    artifact, byte for byte.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "make_training, atoms, checksum",
+        [
+            pytest.param(
+                lambda: retail_database(n_customers=40, seed=0), 3,
+                "sha256:071a5809e81582ac8282ed0dd5bddfb6"
+                "9ed9cf8df5cf7c3bf0d7f2cd3d0c68b3",
+                id="retail-40-CQ3",
+            ),
+            pytest.param(
+                lambda: retail_database(n_customers=8, seed=3), 3,
+                "sha256:2f876562f16251867a7a6a167d74c42a"
+                "b28a3231e4df7998c40e9f19f56198b7",
+                id="retail-8-CQ3",
+            ),
+            pytest.param(
+                lambda: molecule_database(n_molecules=128, seed=1), 2,
+                "sha256:488f7fbbf1f7f38d931ee2ba7ffaf189"
+                "de7c51a08681e378308ac574a590fe5f",
+                id="molecules-128-CQ2",
+            ),
+        ],
+    )
+    def test_checksum(self, make_training, atoms, checksum, backend, workers):
+        previous = set_default_engine(EvaluationEngine(backend=backend))
+        try:
+            with FeatureEngineeringSession(
+                make_training(), BoundedAtomsCQ(atoms),
+                workers=workers, backend=backend,
+            ) as session:
+                assert session.export_artifact().checksum() == checksum
+        finally:
+            set_default_engine(previous)
 
 
 class _SpyExecutor:

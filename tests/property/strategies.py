@@ -18,6 +18,7 @@ __all__ = [
     "delta_logs",
     "training_databases",
     "unary_feature_queries",
+    "out_tree_queries",
     "general_queries",
     "repeated_relation_queries",
     "hom_check_instances",
@@ -136,6 +137,24 @@ def unary_feature_queries(draw, max_atoms: int = 3):
         left = draw(st.sampled_from(variables))
         right = draw(st.sampled_from(variables))
         atoms.append(Atom("E", (left, right)))
+    return CQ.feature(atoms, Variable("x"))
+
+
+@st.composite
+def out_tree_queries(draw, min_atoms: int = 2, max_atoms: int = 5):
+    """Feature queries whose E atoms form a tree directed away from x.
+
+    Each atom ``E(parent, child)`` hangs a new variable below an earlier
+    one, so the body is acyclic (ghw 1) and, at k = 1, every atom gets a
+    bag of its own: a child bag can cut its parent's rows.
+    """
+    variables = [Variable("x")]
+    atoms = []
+    for index in range(draw(st.integers(min_atoms, max_atoms))):
+        parent = draw(st.sampled_from(variables))
+        child = Variable(f"y{index}")
+        variables.append(child)
+        atoms.append(Atom("E", (parent, child)))
     return CQ.feature(atoms, Variable("x"))
 
 

@@ -15,7 +15,9 @@ Both compiled evaluators must agree with the frozen oracle in
    decompositions with unconstrained bag variables.
 3. **One answer memo for both.**  An engine that answers a query through
    the plan and through backtracking (either order) memoizes one answer,
-   which must be the oracle's on both backends.
+   which must be the oracle's on both backends.  Out-tree queries at
+   k = 1 give decompositions whose child bags cut their parents, so a
+   plan that lost the upward write-back would answer wrongly there.
 
 Mixed databases routinely lack relations the query mentions (the
 empty-relation edge), and generated feature queries routinely produce
@@ -38,6 +40,7 @@ from tests.property.strategies import (
     entity_databases,
     hom_check_instances,
     mixed_databases,
+    out_tree_queries,
     unary_feature_queries,
 )
 
@@ -120,6 +123,30 @@ class TestSharedAnswerMemo:
             engine = EvaluationEngine(backend=backend)
             calls = [
                 lambda: engine.evaluate_ghw(query, database, 2),
+                lambda: engine.evaluate_unary(query, database),
+            ]
+            if not ghw_first:
+                calls.reverse()
+            first, second = calls
+            assert first() == expected
+            hits = engine.cache_details()["answers"].hits
+            assert second() == expected
+            assert engine.cache_details()["answers"].hits == hits + 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @_SETTINGS
+    @given(out_tree_queries(), entity_databases())
+    def test_out_trees_at_width_one_share_a_sound_memo(
+        self, backend, query, database
+    ):
+        # At k = 1 each E atom is a bag of its own, and on a sparse graph
+        # a child bag often cuts its parent: the answer is right only if
+        # every reduced bag is written back before its parent is used.
+        expected = naive_evaluate_unary(query, database)
+        for ghw_first in (True, False):
+            engine = EvaluationEngine(backend=backend)
+            calls = [
+                lambda: engine.evaluate_ghw(query, database, 1),
                 lambda: engine.evaluate_unary(query, database),
             ]
             if not ghw_first:

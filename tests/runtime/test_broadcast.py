@@ -234,7 +234,7 @@ class TestExecutorBroadcast:
         monkeypatch.setattr(broadcast, "create_segment", create_segment)
         serial = SerialExecutor().run(
             evaluate_unary_queries, queries,
-            lambda chunk: (tuple(chunk), database),
+            lambda chunk: _unbounded(chunk, database),
         )
         with ParallelExecutor(WORKERS) as executor:
             carried = executor.broadcast(database)
@@ -246,7 +246,7 @@ class TestExecutorBroadcast:
             assert executor.broadcast_info()["segment_bytes"] == 0
             assert executor.run(
                 evaluate_unary_queries, queries,
-                lambda chunk: (tuple(chunk), carried),
+                lambda chunk: _unbounded(chunk, carried),
             ) == serial
             assert executor.fallbacks == 1  # the dispatch itself ran pooled
 
@@ -255,11 +255,11 @@ class TestExecutorBroadcast:
         database, queries = workload
         serial = SerialExecutor().run(
             evaluate_unary_queries, queries,
-            lambda chunk: (tuple(chunk), database),
+            lambda chunk: _unbounded(chunk, database),
         )
         with ParallelExecutor(WORKERS) as executor:
             target = executor.broadcast(database)
-            payload = lambda chunk: (tuple(chunk), target)
+            payload = lambda chunk: _unbounded(chunk, target)
             first = executor.run(evaluate_unary_queries, queries, payload)
             assert first == serial
             work = executor.work_done()
@@ -285,7 +285,7 @@ class TestPoolRepairs:
         with ParallelExecutor(WORKERS) as executor:
             executor.run(
                 evaluate_unary_queries, queries,
-                lambda chunk: (tuple(chunk), database),
+                lambda chunk: _unbounded(chunk, database),
             )
             assert executor._worker_caches
             executor._discard_pool()
@@ -300,7 +300,7 @@ class TestPoolRepairs:
             (tuple(queries[4:]), database, None),
         ]
         expected = [
-            evaluate_unary_queries((chunk, database))
+            evaluate_unary_queries(_unbounded(chunk, database))
             for chunk, _db, _marker in plan_payloads
         ]
         with ParallelExecutor(WORKERS) as executor:
@@ -323,15 +323,20 @@ class TestPoolRepairs:
                 [(tuple(queries), database, lambda: None)],
             )
             assert results == [
-                evaluate_unary_queries((tuple(queries), database))
+                evaluate_unary_queries(_unbounded(queries, database))
             ]
             assert executor.fallbacks == 1
+
+
+def _unbounded(chunk, database):
+    """An ``evaluate_unary_queries`` payload whose queries have no parent."""
+    return (tuple(chunk), (None,) * len(chunk), database)
 
 
 def _marker_task(payload):
     """Picklable task whose payload may carry an unpicklable marker."""
     chunk, database, _marker = payload
-    return evaluate_unary_queries((chunk, database))
+    return evaluate_unary_queries(_unbounded(chunk, database))
 
 
 class TestStartMethodSelection:

@@ -34,7 +34,12 @@ def workload():
 
 
 def _payload_for(database):
-    return lambda chunk: (tuple(chunk), database)
+    return lambda chunk: _unbounded(chunk, database)
+
+
+def _unbounded(chunk, database):
+    """An ``evaluate_unary_queries`` payload whose queries have no parent."""
+    return (tuple(chunk), (None,) * len(chunk), database)
 
 
 class TestSerialExecutor:
@@ -43,7 +48,7 @@ class TestSerialExecutor:
         executor = SerialExecutor()
         plan = ShardPlan.balanced(len(queries), 5)
         payloads = [
-            (tuple(chunk), database) for chunk in plan.chunk(queries)
+            _unbounded(chunk, database) for chunk in plan.chunk(queries)
         ]
         results = executor.map_shards(evaluate_unary_queries, payloads)
         merged = ShardPlan.merge(results)
@@ -132,6 +137,42 @@ class TestParallelExecutor:
             assert executor.map_shards(evaluate_unary_queries, []) == []
 
 
+class TestBoundedShards:
+    def test_each_shard_is_a_pure_function_of_its_payload(self, workload):
+        # A fresh engine per shard: a parent from outside the shard cannot
+        # come from an earlier shard's memo, so the worker answers it.
+        database, queries = workload
+        parents = [
+            None if parent is None else queries[parent]
+            for parent in queries.parents
+        ]
+        expected = EvaluationEngine().evaluate_unary_batch(queries, database)
+        previous = set_default_engine(EvaluationEngine())
+        try:
+            for start, stop in ShardPlan.balanced(len(queries), 5).bounds:
+                set_default_engine(EvaluationEngine())
+                payload = (
+                    tuple(queries[start:stop]),
+                    tuple(parents[start:stop]),
+                    database,
+                )
+                assert evaluate_unary_queries(payload) == tuple(
+                    expected[start:stop]
+                )
+        finally:
+            set_default_engine(previous)
+
+    def test_a_parent_after_its_child_bounds_nothing(self, workload):
+        database, queries = workload
+        chunk = tuple(queries[1:4])
+        expected = tuple(
+            EvaluationEngine().evaluate_unary_batch(chunk, database)
+        )
+        # Hand-built: the first query names the last as its parent.
+        payload = (chunk, (chunk[2], None, None), database)
+        assert evaluate_unary_queries(payload) == expected
+
+
 class TestPlanPrecompilation:
     def test_initialize_worker_compiles_plan_queries(self, workload):
         _, queries = workload
@@ -166,7 +207,7 @@ class TestPlanPrecompilation:
 def _strip_marker_task(payload):
     """A picklable task whose payload carries an unpicklable marker."""
     queries, database, _marker = payload
-    return evaluate_unary_queries((queries, database))
+    return evaluate_unary_queries(_unbounded(queries, database))
 
 
 class TestMakeExecutor:

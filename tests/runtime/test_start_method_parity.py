@@ -98,6 +98,37 @@ class TestIndicatorMatrixParity:
             assert again["broadcast_misses"] == work["broadcast_misses"]
 
 
+class TestBoundedFillParity:
+    """The fill bounded by the pool's parents, sharded, equals serial.
+
+    Shards carry each query's parent; a parent outside its child's shard
+    is answered by the worker itself.  Broadcast counters are not asserted
+    here: :class:`TestIndicatorMatrixParity` covers them.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("method", START_METHODS)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_bit_identical_to_serial(
+        self, workload, backend, method, workers, request
+    ):
+        _, database, queries, entities = workload
+        serial = EvaluationEngine(backend=backend).indicator_matrix(
+            queries, database, entities, parents=queries.parents
+        )
+        assert serial == EvaluationEngine(backend=backend).indicator_matrix(
+            queries, database, entities
+        )
+        _select(method, request)
+        with make_executor(workers, backend=backend) as executor:
+            assert EvaluationEngine(backend=backend).indicator_matrix(
+                queries, database, entities, executor=executor,
+                parents=queries.parents,
+            ) == serial
+            assert executor.fallback_reason is None
+            assert executor.effective_start_method == method
+
+
 @pytest.fixture(scope="module", params=["retail", "molecules"])
 def served(request):
     if request.param == "retail":
