@@ -23,6 +23,10 @@ coalescing window, no fusion).  Before any timing, every distinct body's
 gateway response is asserted **bit-identical** to a direct
 ``InferenceService.predict`` on the same database.
 
+Each of the four windows (two shapes × two modes) is timed as the median
+of :data:`RUNS` runs on fresh gateways, the two modes alternating, so a
+pause inside one short window is not charged to the mechanism.
+
 The acceptance floor: micro-batched hot-key throughput >= 2x the
 one-per-call baseline at 100 concurrent clients, p95 reported.
 """
@@ -61,6 +65,9 @@ BATCH_WINDOW_S = 0.002
 
 #: Acceptance floor: batched hot-key throughput vs one-per-call.
 HOT_KEY_SPEEDUP_FLOOR = 2.0
+
+#: Runs per window; the window's time is their median.
+RUNS = 5
 
 
 def premium_training(n_customers: int, seed: int) -> TrainingDatabase:
@@ -239,21 +246,31 @@ def _load_scenario(benchmark, backend, artifact, artifact_path):
     distinct_traffic = [[body] for body in distinct_bodies]
 
     total = N_CLIENTS * REQUESTS_PER_CLIENT
+    modes = (("one-per-call", 1), (f"batched({MAX_BATCH})", MAX_BATCH))
     rows = []
     results: Dict[Tuple[str, int], Dict[str, object]] = {}
     for shape, traffic, shape_identity in (
         ("hot-key", hot_traffic, identity),
         ("distinct", distinct_traffic, distinct_identity),
     ):
-        for label, max_batch in (
-            ("one-per-call", 1),
-            (f"batched({MAX_BATCH})", MAX_BATCH),
-        ):
-            outcome = _drive(
-                artifact_path, backend, max_batch, traffic, shape_identity
-            )
+        runs: Dict[int, List[Dict[str, object]]] = {
+            max_batch: [] for _, max_batch in modes
+        }
+        for _ in range(RUNS):
+            for _, max_batch in modes:
+                outcome = _drive(
+                    artifact_path, backend, max_batch, traffic,
+                    shape_identity,
+                )
+                assert outcome["requests"] == total
+                runs[max_batch].append(outcome)
+        for label, max_batch in modes:
+            # The median run: its time is the window's, and its latency,
+            # fusion and batch figures are reported beside it.
+            outcome = sorted(
+                runs[max_batch], key=lambda run: run["seconds"]
+            )[RUNS // 2]
             results[(shape, max_batch)] = outcome
-            assert outcome["requests"] == total
             rows.append(
                 (
                     shape,

@@ -5,7 +5,8 @@ plain HTTP: probes /healthz, scores one database via /v1/predict and
 checks the labels against a direct in-process InferenceService.predict,
 reads /metrics, posts a body with a numeric fact argument (400) and the
 valid body again (still 200, every answer a memo hit: no evaluation
-work, and one answer-memo hit per feature).  Over raw sockets it then
+work, and one answer-memo hit per feature of the separator's support,
+the features with a nonzero weight).  Over raw sockets it then
 sends the valid body behind three heads that parsers frame differently
 (Content-Length beside Transfer-Encoding, ``Content-Length :``, and a
 ``gzip`` Transfer-Encoding repeated as ``chunked``), expecting a 400
@@ -132,9 +133,11 @@ def main() -> None:
             assert after["engine"][counter] == before["engine"][counter], (
                 counter, before["engine"], after["engine"]
             )
-        dimension = after["model"]["dimension"]
+        support = sum(
+            1 for weight in artifact.classifier.weights if weight != 0
+        )
         hits = after["engine"]["cache_hits"] - before["engine"]["cache_hits"]
-        assert hits == dimension, (hits, dimension)
+        assert hits == support, (hits, support)
 
         # Heads that parsers frame differently are refused and closed.
         line = b"POST /v1/predict?model=retail HTTP/1.1\r\nhost: smoke\r\n"

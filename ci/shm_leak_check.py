@@ -4,8 +4,8 @@ Every segment the zero-copy runtime creates is named ``repro-shm-*``
 (:data:`repro.runtime.broadcast.SEGMENT_PREFIX`), owned by the parent
 executor, and unlinked in :meth:`~repro.runtime.executor.ParallelExecutor.
 close`.  This script drives broadcast-heavy dispatch under every available
-start method — indicator matrices on both backends plus the served-model
-path — and then asserts ``/dev/shm`` holds not one stray segment.  A leak
+start method — indicator matrices on both backends — and then asserts
+``/dev/shm`` holds not one stray segment.  A leak
 here means a worker unlinked a borrowed segment's tracker entry, or an
 owner path skipped its release.
 
@@ -24,13 +24,10 @@ import threading
 
 sys.path.insert(0, "src")
 
-from repro.core.languages import BoundedAtomsCQ
-from repro.core.pipeline import FeatureEngineeringSession
 from repro.core.separability import feature_pool
 from repro.cq.engine import EvaluationEngine
 from repro.runtime import ParallelExecutor
 from repro.runtime.broadcast import SEGMENT_PREFIX
-from repro.serve import InferenceService
 from repro.workloads.retail import retail_database
 
 SHM_GLOB = f"/dev/shm/{SEGMENT_PREFIX}*"
@@ -82,24 +79,6 @@ def _drive_executor(method: str, backend: str) -> None:
         assert _segments(), "expected live repro-shm segments"
 
 
-def _drive_serving(method: str) -> None:
-    training = retail_database(n_customers=6, seed=3)
-    with FeatureEngineeringSession(training, BoundedAtomsCQ(3)) as session:
-        assert session.separable
-        artifact = session.export_artifact()
-    requests = [
-        retail_database(n_customers=4, seed=seed).database
-        for seed in (11, 12)
-    ]
-    with InferenceService(artifact, workers=1) as reference:
-        expected = reference.predict_batch(requests)
-    with _start_method(method), InferenceService(
-        artifact, workers=2
-    ) as service:
-        assert service.predict_batch(requests) == expected, method
-        assert service.executor.effective_start_method == method, method
-
-
 def main() -> int:
     before = _segments()
     if before:
@@ -115,8 +94,6 @@ def main() -> int:
         for backend in backends:
             _drive_executor(method, backend)
             print(f"executor leg OK: method={method} backend={backend}")
-        _drive_serving(method)
-        print(f"serving leg OK: method={method}")
 
     leaked = _segments() - before
     if leaked:

@@ -177,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--model", required=True, help="model artifact JSON file"
     )
-    predict.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for micro-batched serving (default 1)",
-    )
     _add_backend_option(predict)
     predict.add_argument(
         "--on-error",
@@ -255,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8080,
         help="listen port (default 8080; 0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes shared by all served models (default 1)",
     )
     _add_backend_option(serve)
     serve.add_argument(
@@ -398,8 +386,7 @@ def _run_classify(args: argparse.Namespace) -> int:
 
         artifact = ModelArtifact.load(args.model)
         with InferenceService(
-            artifact, workers=args.workers, backend=args.backend,
-            store=args.store,
+            artifact, backend=args.backend, store=args.store
         ) as service:
             labeling = service.predict(evaluation)
         assert labeling is not None  # on_error="fail" raises instead
@@ -513,8 +500,8 @@ def _run_predict(args: argparse.Namespace) -> int:
             except ReproError as error:
                 raise ParseError(f"request line {lineno}: {error}") from None
     with InferenceService(
-        artifact, workers=args.workers, on_error=args.on_error,
-        backend=args.backend, store=args.store,
+        artifact, on_error=args.on_error, backend=args.backend,
+        store=args.store,
     ) as service:
         ops = OpStream(service) if args.stream else None
         if ops is not None:
@@ -584,7 +571,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     specs = _parse_model_specs(args.models)
     registry = ModelRegistry(
-        workers=args.workers,
         backend=args.backend,
         on_error=args.on_error,
         max_loaded=args.max_loaded,

@@ -49,18 +49,12 @@ def _rebuild(
 def prune_zero_weights(
     training: TrainingDatabase, pair: SeparatingPair
 ) -> SeparatingPair:
-    """Drop features with weight 0; re-verify the smaller pair."""
-    keep = [
-        index
-        for index, weight in enumerate(pair.classifier.weights)
-        if weight != 0
-    ]
-    if len(keep) == pair.statistic.dimension:
-        return pair
-    rebuilt = _rebuild(training, pair.statistic, keep)
-    if rebuilt is None:  # pragma: no cover - zero weights cannot matter
-        raise SolverError("pruning zero-weight features lost separability")
-    return rebuilt
+    """Drop features with weight 0 (:meth:`SeparatingPair.support`).
+
+    The restriction labels every database as the pair does, so it needs
+    no refit; ``training`` is taken for the minimizers' common signature.
+    """
+    return pair.support()
 
 
 def sparse_minimize(

@@ -169,6 +169,25 @@ class SeparatingPair:
     def classifier(self) -> LinearClassifier:
         return self._classifier
 
+    def support(self) -> "SeparatingPair":
+        """The pair restricted to the features with a nonzero weight.
+
+        It labels every database exactly as the whole pair does.
+        ``LinearClassifier.score`` sums ``w*b`` in feature order, and a
+        zero weight adds only ±0.0, so every partial sum and every
+        ``score >= threshold`` decision is unchanged.  A constant
+        classifier has an empty support and still labels every entity.
+        """
+        weights = self._classifier.weights
+        kept = [index for index, weight in enumerate(weights) if weight != 0]
+        return SeparatingPair(
+            Statistic(self._statistic[index] for index in kept),
+            LinearClassifier(
+                tuple(weights[index] for index in kept),
+                self._classifier.threshold,
+            ),
+        )
+
     def predict(
         self,
         database: Database,

@@ -27,9 +27,7 @@ model, mid-rollout).  :class:`ModelRegistry` owns that mapping:
   callers wrap request handling in :meth:`acquire` / the lease's
   ``release`` so eviction can never yank a model mid-batch.
 
-Every loaded service shares the registry's one executor (``workers > 1``
-spins up a single process pool reused across all models) — warm worker
-processes are the expensive resource, and N models must not mean N pools.
+Every loaded service serves in this process, on its own warm engine.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import GatewayError
-from repro.runtime import Executor, make_executor
 from repro.serve import InferenceService, ModelArtifact
 
 __all__ = ["ModelRegistry", "ModelLease"]
@@ -103,9 +100,6 @@ class ModelRegistry:
 
     Parameters
     ----------
-    workers:
-        Micro-batch parallelism shared by every loaded service; ``> 1``
-        creates one process pool reused across all models.
     backend:
         Evaluation backend for every loaded service (``"python"`` /
         ``"numpy"``).
@@ -131,7 +125,6 @@ class ModelRegistry:
 
     def __init__(
         self,
-        workers: int = 1,
         backend: str = "python",
         on_error: str = "abstain",
         max_loaded: Optional[int] = None,
@@ -140,7 +133,6 @@ class ModelRegistry:
     ) -> None:
         if max_loaded is not None and max_loaded < 1:
             raise GatewayError(f"max_loaded must be >= 1, got {max_loaded}")
-        self.workers = workers
         self.backend = backend
         self.on_error = on_error
         self.max_loaded = max_loaded
@@ -148,7 +140,6 @@ class ModelRegistry:
         self._entries: Dict[Tuple[str, str], _Entry] = {}
         self._versions: Dict[str, List[str]] = {}
         self._defaults: Dict[str, str] = {}
-        self._executor: Optional[Executor] = None
         self._lock = threading.RLock()
         self._load_done = threading.Condition(self._lock)
         self._clock = 0
@@ -340,7 +331,6 @@ class ModelRegistry:
             artifact = self._model_store.load(name, version)
         service = InferenceService(
             artifact,
-            executor=self._shared_executor(),
             on_error=self.on_error,
             backend=self.backend,
             store=self._store,
@@ -387,20 +377,6 @@ class ModelRegistry:
             if self._on_evict is not None:
                 self._on_evict(entry.name, entry.version, service)
             service.close()
-
-    def _shared_executor(self) -> Optional[Executor]:
-        if self.workers <= 1:
-            return None
-        with self._lock:
-            if self._executor is None:
-                self._executor = make_executor(
-                    self.workers,
-                    backend=self.backend,
-                    store_path=(
-                        self._store.path if self._store is not None else None
-                    ),
-                )
-            return self._executor
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle
@@ -462,7 +438,6 @@ class ModelRegistry:
                 "loads": self.loads,
                 "evictions": self.evictions,
                 "max_loaded": self.max_loaded,
-                "workers": self.workers,
                 "backend": self.backend,
             }
             if self._store is not None:
@@ -470,7 +445,7 @@ class ModelRegistry:
             return stats
 
     def close(self) -> None:
-        """Close every loaded service and the shared pool.  Idempotent.
+        """Close every loaded service.  Idempotent.
 
         Wakes any acquirers waiting on an in-flight load so they observe
         the closed registry instead of blocking forever.
@@ -481,9 +456,6 @@ class ModelRegistry:
                 if entry.service is not None:
                     service, entry.service = entry.service, None
                     service.close()
-            if self._executor is not None:
-                executor, self._executor = self._executor, None
-                executor.close()
             self._load_done.notify_all()
 
     def __enter__(self) -> "ModelRegistry":

@@ -1,19 +1,18 @@
-"""Digest-keyed broadcast: ship shared objects to workers once, not per shard.
+"""Digest-keyed broadcast: ship shared databases to workers once, not per shard.
 
 Before this module, every shard payload carried its own pickled copy of
-the objects all shards share — the evaluated :class:`~repro.data.database.
-Database` behind an indicator matrix, the model triple behind a served
-micro-batch — and every worker rebuilt indexes from cold.  A7/A8 measured
-the result: "parallel" runs slower than serial.
+the :class:`~repro.data.database.Database` all shards share — the
+evaluated database behind an indicator matrix — and every worker rebuilt
+indexes from cold.  A7 measured the result: "parallel" ran slower than
+serial.
 
 The broadcast protocol (DESIGN.md §3.15) splits identity from bytes:
 
 - The **parent** (:meth:`~repro.runtime.executor.ParallelExecutor.
-  broadcast`) registers an object once under its content digest
-  (:meth:`Database.digest() <repro.data.database.Database.digest>`, a
-  model checksum, or a hash of the pickled bytes), pickles it once into a
-  ``repro-shm-*`` shared-memory segment, and from then on puts only a
-  tiny :class:`BroadcastRef` into shard payloads.
+  broadcast`) registers a database once under its content digest
+  (:meth:`Database.digest() <repro.data.database.Database.digest>`),
+  pickles it once into a ``repro-shm-*`` shared-memory segment, and from
+  then on puts only a tiny :class:`BroadcastRef` into shard payloads.
 - A **worker** resolves a ref through its process-resident cache: a hit
   returns the pinned object (index already built); a miss copies the
   segment's bytes out once, unpickles once, builds the
@@ -45,7 +44,6 @@ import secrets
 from collections import OrderedDict
 from typing import Any, Dict, NamedTuple
 
-from repro.data.database import Database
 from repro.exceptions import ReproError
 
 __all__ = [
@@ -182,11 +180,10 @@ def resolve(ref: Any) -> Any:
         _hits += 1
         return obj
     _misses += 1
-    obj = pickle.loads(_fetch_bytes(ref))
-    if isinstance(obj, Database):
-        obj.index  # a miss pays the build once; every later shard is warm
-    _pin(ref.digest, obj)
-    return obj
+    database = pickle.loads(_fetch_bytes(ref))
+    database.index  # a miss pays the build once; every later shard is warm
+    _pin(ref.digest, database)
+    return database
 
 
 def _fetch_bytes(ref: BroadcastRef) -> bytes:

@@ -25,15 +25,15 @@ plain loop could finish.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cq.engine import CacheInfo
+from repro.data.database import Database
 from repro.exceptions import ReproError
 from repro.runtime import broadcast as _broadcast
-from repro.runtime.shard import DEFAULT_SHARDS_PER_WORKER, ShardPlan
+from repro.runtime.shard import ShardPlan
 from repro.runtime.tasks import (
     Payload,
     ShardOutcome,
@@ -92,10 +92,9 @@ class Executor:
     def __init__(self) -> None:
         self._work: Dict[str, int] = {key: 0 for key in _EMPTY_WORK}
         self._worker_caches: Dict[int, CacheInfo] = {}
-        # The gateway's per-model dispatch threads may share one executor
-        # (ModelRegistry reuses a single warm pool across every served
-        # model), so the accounting — and lazy pool creation — must be
-        # safe under concurrent map_shards calls from different threads.
+        # Callers may share one executor across threads, so the
+        # accounting — and lazy pool creation — must be safe under
+        # concurrent map_shards calls from different threads.
         self._accounting_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -111,7 +110,6 @@ class Executor:
         task: Task,
         items: Sequence[Any],
         payload: Callable[[Sequence[Any]], Payload],
-        shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
     ) -> List[Any]:
         """Shard ``items``, run ``task`` per shard, merge in item order.
 
@@ -119,7 +117,7 @@ class Executor:
         attaching the shared database).  Each shard result must be a
         sequence with one entry per item of its chunk.
         """
-        plan = ShardPlan.for_workers(len(items), self.workers, shards_per_worker)
+        plan = ShardPlan.for_workers(len(items), self.workers)
         payloads = [payload(chunk) for chunk in plan.chunk(items)]
         shard_results = self.map_shards(task, payloads)
         return ShardPlan.merge(shard_results)
@@ -127,18 +125,18 @@ class Executor:
     def close(self) -> None:
         """Release any worker processes; the executor stays usable serially."""
 
-    def broadcast(self, obj: Any, digest: Optional[str] = None) -> Any:
-        """Register a shard-shared object; returns what payloads should carry.
+    def broadcast(self, database: Database) -> Any:
+        """Register a shard-shared database; returns what payloads carry.
 
         The serial executor runs shards in the calling process, where the
-        object is already resident — payloads carry it directly and
+        database is already resident — payloads carry it directly and
         :func:`~repro.runtime.broadcast.resolve` passes it through.
         :class:`ParallelExecutor` overrides this with the digest-keyed
         zero-copy protocol and returns a
-        :class:`~repro.runtime.broadcast.BroadcastRef` (or the object
+        :class:`~repro.runtime.broadcast.BroadcastRef` (or the database
         itself when no shared-memory segment can be created).
         """
-        return obj
+        return database
 
     # ------------------------------------------------------------------
     # Aggregated accounting
@@ -202,11 +200,6 @@ class ParallelExecutor(Executor):
     workers:
         Worker process count (must be >= 2; use :func:`make_executor` to
         pick serial vs parallel from a ``workers=`` knob).
-    plan_queries:
-        Queries whose :class:`~repro.cq.plan.QueryPlan` every worker
-        compiles at initialization (once per worker process, before any
-        shard runs).  Pass a fixed statistic here — the serving path does —
-        so no shard ever pays the compile on its own clock.
     backend:
         Evaluation backend for every worker engine (``"python"`` /
         ``"numpy"``); ``None`` keeps the engine default.  Results are
@@ -236,7 +229,6 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         workers: int,
-        plan_queries: Sequence[Any] = (),
         backend: Optional[str] = None,
         store_path: Optional[str] = None,
     ) -> None:
@@ -247,13 +239,12 @@ class ParallelExecutor(Executor):
                 "use SerialExecutor (or make_executor) for workers <= 1"
             )
         self.workers = workers
-        self._plan_queries = tuple(plan_queries)
         self._backend = backend
         self._store_path = store_path
         self._pool: Optional[Any] = None
-        #: What payloads carry for each object broadcast through this
+        #: What payloads carry for each database broadcast through this
         #: executor, by digest: a :class:`~repro.runtime.broadcast.
-        #: BroadcastRef`, or the object itself when no segment could be
+        #: BroadcastRef`, or the database itself when no segment could be
         #: created.  Never evicted before :meth:`close` — an in-flight
         #: shard may carry any ref ever issued.
         self._broadcasts: Dict[str, Any] = {}
@@ -281,9 +272,7 @@ class ParallelExecutor(Executor):
                     max_workers=self.workers,
                     mp_context=multiprocessing.get_context(method),
                     initializer=initialize_worker,
-                    initargs=(
-                        self._plan_queries, self._backend, self._store_path,
-                    ),
+                    initargs=(self._backend, self._store_path),
                 )
                 self.effective_start_method = method
             return self._pool
@@ -292,46 +281,33 @@ class ParallelExecutor(Executor):
     # Broadcast (the zero-copy protocol's parent side)
     # ------------------------------------------------------------------
 
-    def broadcast(self, obj: Any, digest: Optional[str] = None) -> Any:
-        """Register ``obj`` once; returns what payloads should carry.
+    def broadcast(self, database: Database) -> Any:
+        """Register ``database`` once; returns what payloads should carry.
 
-        Keyed by content digest — ``obj.digest()`` when the object has
-        one (databases), the caller-supplied ``digest`` (the serving path
-        passes the artifact checksum), or a hash of the pickled bytes.
-        The first call seeds the parent's resident cache (so a pool
-        forked after this point inherits the object, and serial fallbacks
-        resolve locally), builds a database's index before any fork, and
-        pickles the object once into a shared-memory segment for workers
-        that miss; every later call returns the cached ref without
-        touching the object at all.
+        Keyed by :meth:`~repro.data.database.Database.digest`.  The first
+        call seeds the parent's resident cache (so a pool forked after
+        this point inherits the database, and serial fallbacks resolve
+        locally), builds its index before any fork, and pickles it once
+        into a shared-memory segment for workers that miss; every later
+        call returns the cached ref without touching the database at all.
 
         When no segment can be created — no ``multiprocessing.
         shared_memory`` on this platform, or a full ``/dev/shm`` — the
-        payloads carry the object itself, exactly as under
+        payloads carry the database itself, exactly as under
         :class:`SerialExecutor`; :attr:`fallbacks` counts the event and
         :attr:`fallback_reason` records why.
         """
-        from repro.data.database import Database
-
-        if digest is None:
-            method = getattr(obj, "digest", None)
-            if callable(method):
-                digest = method()
+        digest = database.digest()
         with self._accounting_lock:
             if digest in self._broadcasts:
                 return self._broadcasts[digest]
-            data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            if digest is None:
-                digest = "sha256:" + hashlib.sha256(data).hexdigest()
-                if digest in self._broadcasts:
-                    return self._broadcasts[digest]
-            _broadcast.seed(digest, obj)
-            if isinstance(obj, Database):
-                obj.index  # built pre-fork: children inherit it warm
+            data = pickle.dumps(database, protocol=pickle.HIGHEST_PROTOCOL)
+            _broadcast.seed(digest, database)
+            database.index  # built pre-fork: children inherit it warm
             try:
                 segment = _broadcast.create_segment(len(data))
             except (ImportError, OSError) as error:
-                carried = obj
+                carried = database
                 self.fallbacks += 1
                 self.fallback_reason = (
                     f"no shared-memory segment for broadcast {digest}: "
@@ -477,26 +453,15 @@ class ParallelExecutor(Executor):
 
 def make_executor(
     workers: Optional[int],
-    plan_queries: Optional[Sequence[Any]] = None,
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
 ) -> Executor:
     """The executor for a ``workers=`` knob: serial iff ``workers <= 1``.
 
-    ``plan_queries`` (a fixed statistic, if the caller has one) is handed
-    to every worker's initializer for up-front plan compilation; the
-    serial executor ignores it — the calling process's engine compiles
-    plans lazily on first use, or eagerly via
-    :meth:`~repro.cq.engine.EvaluationEngine.plan_for`.  ``backend``
-    selects the worker engines' evaluation backend; the serial executor
-    ignores it too (serial shards run on the calling process's engine,
-    whose backend the caller already chose).
+    ``backend`` selects the worker engines' evaluation backend; the
+    serial executor ignores it (serial shards run on the calling
+    process's engine, whose backend the caller already chose).
     """
     if workers is None or workers <= 1:
         return SerialExecutor()
-    return ParallelExecutor(
-        workers,
-        plan_queries=() if plan_queries is None else plan_queries,
-        backend=backend,
-        store_path=store_path,
-    )
+    return ParallelExecutor(workers, backend=backend, store_path=store_path)

@@ -24,10 +24,10 @@ __all__ = ["ShardPlan"]
 
 T = TypeVar("T")
 
-#: Shards dispatched per worker by default.  More than one lets faster
-#: workers steal the tail of the bag (better balance on skewed items) at the
-#: price of more pickling round-trips.
-DEFAULT_SHARDS_PER_WORKER = 2
+#: Shards dispatched per worker.  More than one lets faster workers steal
+#: the tail of the bag (better balance on skewed items) at the price of more
+#: pickling round-trips.
+SHARDS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -70,21 +70,14 @@ class ShardPlan:
         return cls(total, tuple(bounds))
 
     @classmethod
-    def for_workers(
-        cls,
-        total: int,
-        workers: int,
-        shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER,
-    ) -> "ShardPlan":
-        """A balanced plan of ``workers * shards_per_worker`` shards.
+    def for_workers(cls, total: int, workers: int) -> "ShardPlan":
+        """A balanced plan of ``workers * SHARDS_PER_WORKER`` shards.
 
         Fewer items than that give one single-item shard per item.
         """
         if workers < 1:
             raise ReproError("shard plan needs at least one worker")
-        if shards_per_worker < 1:
-            raise ReproError("shards_per_worker must be positive")
-        return cls.balanced(total, workers * shards_per_worker)
+        return cls.balanced(total, workers * SHARDS_PER_WORKER)
 
     # ------------------------------------------------------------------
     # Chunking and merging

@@ -28,7 +28,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_unary_queries",
     "pointed_hom_checks",
     "unravel_features",
-    "classify_databases",
 ]
 
 Element = Any
@@ -72,7 +70,6 @@ class ShardOutcome(NamedTuple):
 
 
 def initialize_worker(
-    plan_queries: Sequence[CQ] = (),
     backend: Optional[str] = None,
     store_path: Optional[str] = None,
 ) -> None:
@@ -82,9 +79,6 @@ def initialize_worker(
     fresh engine rather than a fork-inherited copy keeps worker counters
     attributable: everything they report happened in this worker.
 
-    ``plan_queries`` are compiled into the worker engine's plan cache up
-    front (once per worker, not once per shard), so a pool serving a fixed
-    statistic — the serving path — starts every shard on the hot path.
     ``backend`` selects the worker engine's evaluation backend
     (``"python"``/``"numpy"``; ``None`` keeps the engine default), so a
     parallel fill runs the same backend in every worker as the parent
@@ -98,10 +92,7 @@ def initialize_worker(
         kwargs["backend"] = backend
     if store_path is not None:
         kwargs["store"] = store_path
-    engine = EvaluationEngine(**kwargs)
-    for query in plan_queries:
-        engine.plan_for(query)
-    set_default_engine(engine)
+    set_default_engine(EvaluationEngine(**kwargs))
 
 
 def instrumented(task: Task, payload: Payload) -> ShardOutcome:
@@ -190,44 +181,6 @@ def pointed_hom_checks(payload: Payload) -> Tuple[bool, ...]:
         engine.pointed_has_homomorphism(source, (left,), target, (right,))
         for left, right in pairs
     )
-
-
-def classify_databases(payload: Payload) -> Tuple[Tuple[str, Any], ...]:
-    """Classify a shard of pointed databases under one separating pair.
-
-    Payload: ``(model, databases)`` where ``model`` is — or resolves to,
-    when it arrives as a broadcast ref keyed by the artifact checksum —
-    the triple ``(queries, weights, threshold)``.  Returns one
-    ``("ok", {entity: label})`` or ``("error", message)`` outcome per
-    database, in shard order — the unit of work behind
-    :meth:`repro.serve.InferenceService.predict_batch`.  Per-database
-    errors are captured as data (rather than raised) so one malformed
-    request cannot poison the whole shard; the service decides whether to
-    fail or abstain.
-    """
-    model, databases = payload
-    queries, weights, threshold = resolve(model)
-    from repro.exceptions import ReproError
-    from repro.linsep.classifier import LinearClassifier
-
-    engine = default_engine()
-    classifier = LinearClassifier(tuple(weights), threshold)
-    outcomes = []
-    for database in databases:
-        try:
-            vectors = engine.evaluate_statistic(queries, database)
-            outcomes.append(
-                (
-                    "ok",
-                    {
-                        entity: classifier.predict(vector)
-                        for entity, vector in vectors.items()
-                    },
-                )
-            )
-        except ReproError as error:
-            outcomes.append(("error", str(error)))
-    return tuple(outcomes)
 
 
 def unravel_features(payload: Payload) -> Tuple[Tuple[CQ, int], ...]:

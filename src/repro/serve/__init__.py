@@ -7,9 +7,10 @@ The train-once / serve-many split of the production story (ROADMAP):
   separator, metadata) with strict validation, a content checksum, and
   bit-identical round-trips;
 - :mod:`repro.serve.service` — :class:`InferenceService`: load an
-  artifact, compile its queries once, serve ``predict`` /
-  ``predict_batch`` over pointed databases with micro-batching through
-  :mod:`repro.runtime` and configurable fail/abstain degradation;
+  artifact, restrict it to the separator's support (the features with a
+  nonzero weight), compile those queries once, and serve ``predict`` /
+  ``predict_batch`` over pointed databases in one process, with
+  configurable fail/abstain degradation;
 - :mod:`repro.serve.metrics` — per-request counters and latency /
   throughput snapshots (p50/p95, engine work, cache hit rates).
 

@@ -2,16 +2,14 @@
 
 :class:`InferenceService` is the serving half of the train-once /
 serve-many split.  It loads a :class:`~repro.serve.artifact.ModelArtifact`,
-compiles its feature queries once (canonical databases and their indexes
-are built at warm-up, not on the first request), and then labels pointed
-databases through the same :class:`~repro.cq.engine.EvaluationEngine` batch
-entry points training used — so a served prediction is bit-identical to
+restricts its separating pair to the support — the features with a
+nonzero weight, which label every database exactly as the whole pair
+does — compiles those feature queries once (canonical databases and their
+indexes are built at warm-up, not on the first request), and then labels
+pointed databases in this process, on one warm
+:class:`~repro.cq.engine.EvaluationEngine`, through the same batch entry
+points training used — so a served prediction is bit-identical to
 ``FeatureEngineeringSession.classify`` on the same input.
-
-Scale-out is micro-batching: :meth:`InferenceService.predict_batch` shards
-a list of request databases across a :class:`~repro.runtime.Executor`
-(``workers=N``), one shard task per chunk, with the runtime subsystem's
-order-preserving merge keeping results deterministic.
 
 Degradation is configurable per service: ``on_error="fail"`` raises a
 :class:`~repro.exceptions.ServeError` on the first request whose feature
@@ -31,12 +29,11 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cq.engine import EvaluationEngine
+from repro.cq.engine import DEFAULT_CACHE_SIZE, EvaluationEngine
 from repro.data.database import Database
 from repro.data.labeling import Labeling
 from repro.data.schema import EntitySchema, Schema
 from repro.exceptions import ReproError, ServeError
-from repro.runtime.executor import Executor
 from repro.serve.artifact import ModelArtifact
 from repro.serve.metrics import ServiceMetrics
 
@@ -53,43 +50,41 @@ class InferenceService:
     ----------
     artifact:
         The trained model to serve.
-    workers:
-        Degree of micro-batch parallelism; 1 (the default) serves fully
-        in-process on one warm engine.  Ignored when ``executor`` is given.
-    executor:
-        An explicit :class:`~repro.runtime.Executor` to shard batches on.
-        The caller keeps ownership (the service never closes it).
     on_error:
         ``"fail"`` raises :class:`ServeError` on a request whose feature
         evaluation fails; ``"abstain"`` returns ``None`` for that request
         and keeps serving.
     engine:
-        An explicit evaluation engine (defaults to a fresh private one, so
-        the service's cache statistics are attributable to serving).  When
-        given, it wins over ``backend``.
+        An explicit evaluation engine, used as given (defaults to a fresh
+        private one, so the service's cache statistics are attributable
+        to serving).  When given, it wins over ``backend``.
     backend:
-        Evaluation backend for the service-owned engine and any
-        service-owned worker pool: ``"python"`` (default) or ``"numpy"``
-        (vectorized indicator fills with graceful per-instance fallback;
-        see :meth:`~repro.cq.engine.EvaluationEngine.backend_info`, which
+        Evaluation backend for the service-owned engine: ``"python"``
+        (default) or ``"numpy"`` (vectorized indicator fills with
+        graceful per-instance fallback; see
+        :meth:`~repro.cq.engine.EvaluationEngine.backend_info`, which
         :meth:`metrics_snapshot` re-exports under ``engine.backend``).
     store:
         Optional warm-state store (path string,
         :class:`~repro.store.ContentStore`, or
         :class:`~repro.store.WarmStore`) attached to the service-owned
-        engine and — as a path — to any service-owned worker pool.  A
-        restarted service against the same store loads each request's
-        memoized answers from disk on first use instead of recomputing
-        them; :meth:`warm_up` still compiles the plans in memory.  Ignored
-        when an explicit ``engine`` is given (attach the store to that
-        engine instead).
+        engine.  A restarted service against the same store loads each
+        request's memoized answers from disk on first use instead of
+        recomputing them; :meth:`warm_up` still compiles the plans in
+        memory.  Ignored when an explicit ``engine`` is given (attach the
+        store to that engine instead).
+
+    The service-owned engine's memo holds as many request databases as
+    an engine with the default cache size holds when it evaluates every
+    feature: each request brings ``support`` answers, so the cache size
+    is ``support × (DEFAULT_CACHE_SIZE // dimension)``.  The memo's
+    memory is the request databases its keys keep alive, so this keeps
+    the same number of them resident whatever the support.
     """
 
     def __init__(
         self,
         artifact: ModelArtifact,
-        workers: int = 1,
-        executor: Optional[Executor] = None,
         on_error: str = "fail",
         engine: Optional[EvaluationEngine] = None,
         backend: str = "python",
@@ -100,36 +95,21 @@ class InferenceService:
                 f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
             )
         self._artifact = artifact
-        self._pair = artifact.pair()
-        # Computed once: the broadcast key of the model triple — a
-        # checksum walks every rule string, too slow per micro-batch.
-        self._model_digest = artifact.checksum()
+        self._pair = artifact.pair().support()
+        # Computed once: a checksum walks every rule string, too slow to
+        # recompute on every metrics snapshot.
+        self._checksum = artifact.checksum()
         self._on_error = on_error
-        self._engine = (
-            engine
-            if engine is not None
-            else EvaluationEngine(backend=backend, store=store)
-        )
-        self.metrics = ServiceMetrics()
-        if executor is not None:
-            self._executor: Optional[Executor] = executor
-            self._owns_executor = False
-        elif workers > 1:
-            from repro.runtime import make_executor
-
-            engine_store = self._engine.store
-            self._executor = make_executor(
-                workers,
-                plan_queries=self._pair.statistic.queries,
-                backend=self._engine.backend,
-                store_path=(
-                    engine_store.path if engine_store is not None else None
-                ),
+        if engine is None:
+            databases = DEFAULT_CACHE_SIZE // max(1, artifact.dimension)
+            engine = EvaluationEngine(
+                cache_size=max(1, self._pair.statistic.dimension)
+                * max(1, databases),
+                backend=backend,
+                store=store,
             )
-            self._owns_executor = True
-        else:
-            self._executor = None
-            self._owns_executor = False
+        self._engine = engine
+        self.metrics = ServiceMetrics()
         self._warmed = False
 
     # ------------------------------------------------------------------
@@ -140,15 +120,6 @@ class InferenceService:
     def artifact(self) -> ModelArtifact:
         return self._artifact
 
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The executor batches shard on (None when fully serial)."""
-        return self._executor
-
-    @property
-    def workers(self) -> int:
-        return self._executor.workers if self._executor is not None else 1
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -156,15 +127,11 @@ class InferenceService:
     def warm_up(self) -> None:
         """Compile the model ahead of the first request.
 
-        Compiles every feature query's :class:`~repro.cq.plan.QueryPlan`
-        into the serving engine's plan cache (which also builds the
-        canonical databases and their indexes), and — when serving with a
-        worker pool — pushes one empty database per worker through the
-        executor so every worker process starts (compiling its own plans
-        via the worker initializer) before traffic arrives: a spawn pool
-        starts workers on demand, one per outstanding shard.  Idempotent;
-        :meth:`predict` and :meth:`predict_batch` call it lazily on first
-        use.
+        Compiles the :class:`~repro.cq.plan.QueryPlan` of every feature
+        query in the support into the serving engine's plan cache (which
+        also builds the canonical databases and their indexes).
+        Idempotent; :meth:`predict` and :meth:`predict_batch` call it
+        lazily on first use.
         """
         if self._warmed:
             return
@@ -173,17 +140,16 @@ class InferenceService:
             plan = self._engine.plan_for(query)
             if vectorize:
                 plan.vectorized()
-        if self._executor is not None and self._executor.workers > 1:
-            empty = Database((), schema=self._artifact.schema)
-            self._dispatch_batch([empty] * self._executor.workers)
         self._warmed = True
         self.metrics.observe_warmup()
 
     def close(self) -> None:
-        """Shut down the service-owned worker pool, if any.  Idempotent."""
-        if self._owns_executor and self._executor is not None:
-            executor, self._executor = self._executor, None
-            executor.close()
+        """Nothing to release: the service serves in this process.
+
+        Kept so callers can manage a service like any other resource (the
+        registry closes the services it evicts).  Idempotent; the service
+        keeps serving after it.
+        """
 
     def __enter__(self) -> "InferenceService":
         return self
@@ -225,11 +191,9 @@ class InferenceService:
     ) -> List[Optional[Labeling]]:
         """Label a micro-batch of pointed databases, one result per input.
 
-        With a multi-worker executor the databases are sharded across
-        worker processes (order-preserving merge: results arrive in input
-        order and are bit-identical to the serial loop).  Entries are
-        ``None`` exactly for requests that degraded under
-        ``on_error="abstain"``.
+        Results arrive in input order.  Entries are ``None`` exactly for
+        requests that degraded under ``on_error="abstain"``; under
+        ``"fail"`` the first failing request raises.
         """
         databases = list(databases)
         if not databases:
@@ -241,19 +205,13 @@ class InferenceService:
         if not self._warmed:
             self.warm_up()
         start = time.perf_counter()
-        if self._executor is None or self._executor.workers <= 1:
-            outcomes = self._serial_batch(databases)
-        else:
-            outcomes = self._dispatch_batch(databases)
         results: List[Optional[Labeling]] = []
         errors = 0
         entities = 0
-        for status, value in outcomes:
-            if status == "ok":
-                labeling = Labeling(value)
-                entities += len(labeling)
-                results.append(labeling)
-            else:
+        for database in databases:
+            try:
+                labeling = self._pair.classify(database, engine=self._engine)
+            except ReproError as error:
                 errors += 1
                 if self._on_error == "fail":
                     self.metrics.observe_batch(
@@ -262,48 +220,15 @@ class InferenceService:
                         entities,
                         errors,
                     )
-                    raise ServeError(f"prediction failed: {value}")
+                    raise ServeError(f"prediction failed: {error}") from error
                 results.append(None)
+                continue
+            entities += len(labeling)
+            results.append(labeling)
         self.metrics.observe_batch(
             time.perf_counter() - start, len(databases), entities, errors
         )
         return results
-
-    # -- batch execution paths -----------------------------------------
-
-    def _serial_batch(self, databases: Sequence[Database]):
-        outcomes = []
-        for database in databases:
-            try:
-                labeling = self._pair.classify(database, engine=self._engine)
-                outcomes.append(("ok", labeling.as_dict()))
-            except ReproError as error:
-                outcomes.append(("error", str(error)))
-        return outcomes
-
-    def _dispatch_batch(self, databases: Sequence[Database]):
-        from repro.runtime.tasks import classify_databases
-
-        assert self._executor is not None
-        # Batch-level dispatch: the model triple is broadcast once, keyed
-        # by the artifact checksum — after the first micro-batch, worker
-        # payloads carry a ref plus their chunk of request databases and
-        # nothing else.  One shard per worker keeps it to one payload per
-        # worker per micro-batch.
-        model = self._executor.broadcast(
-            (
-                self._pair.statistic.queries,
-                self._pair.classifier.weights,
-                self._pair.classifier.threshold,
-            ),
-            digest=self._model_digest,
-        )
-        return self._executor.run(
-            classify_databases,
-            list(databases),
-            lambda chunk: (model, tuple(chunk)),
-            shards_per_worker=1,
-        )
 
     # ------------------------------------------------------------------
     # Stateful streaming
@@ -333,16 +258,12 @@ class InferenceService:
     # ------------------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Request metrics plus engine work counters and cache hit rates.
-
-        Engine figures cover this process's serving engine; with a worker
-        pool the executor's pool-wide aggregates are reported alongside.
-        """
+        """Request metrics plus engine work counters and cache hit rates."""
         snapshot = self.metrics.snapshot()
         snapshot["model"] = {
             "dimension": self._artifact.dimension,
             "language": repr(self._artifact.language),
-            "checksum": self._artifact.checksum(),
+            "checksum": self._checksum,
         }
         work = self._engine.work_snapshot()
         info = self._engine.cache_info()
@@ -357,20 +278,12 @@ class InferenceService:
         snapshot["engine"]["backend"] = self._engine.backend_info()
         if self._engine.store is not None:
             snapshot["engine"]["store"] = self._engine.store.stats()
-        if self._executor is not None:
-            pool_info = self._executor.cache_info()
-            pool_attempts = pool_info.hits + pool_info.misses
-            snapshot["pool"] = dict(self._executor.work_done())
-            snapshot["pool"]["workers"] = self._executor.workers
-            snapshot["pool"]["cache_hit_rate"] = (
-                pool_info.hits / pool_attempts if pool_attempts else 0.0
-            )
         return snapshot
 
     def __repr__(self) -> str:
         return (
             f"InferenceService(model={self._artifact!r}, "
-            f"workers={self.workers}, on_error={self._on_error!r})"
+            f"on_error={self._on_error!r})"
         )
 
 

@@ -41,7 +41,7 @@ def test_all_bench_modules_are_covered():
     assert len(MODULES) >= 28
     assert "bench_engine" in MODULES
     assert "bench_plan" in MODULES
-    assert "bench_serve" in MODULES
+    assert "bench_gateway" in MODULES
     assert "bench_stream" in MODULES
     assert "bench_vectorized" in MODULES
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from urllib.parse import parse_qsl, quote, unquote, urlencode
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.gateway import HttpError
 from repro.gateway.http import (
+    MAX_HEADER_BYTES,
     NdjsonStreamWriter,
     iter_ndjson,
     json_response,
@@ -77,6 +79,92 @@ def test_oversized_head_is_431():
     with pytest.raises(HttpError) as error:
         run(parse(big))
     assert error.value.status == 431
+
+
+def _head_of_size(size: int) -> bytes:
+    """A GET head of exactly ``size`` bytes, terminator included."""
+    prefix = b"GET / HTTP/1.1\r\nx: "
+    return prefix + b"a" * (size - len(prefix) - 4) + b"\r\n\r\n"
+
+
+def test_head_of_exactly_the_cap_parses():
+    raw = _head_of_size(MAX_HEADER_BYTES)
+    assert len(raw) == MAX_HEADER_BYTES
+    head = run(parse(raw))
+    framing = len(b"GET / HTTP/1.1\r\nx: \r\n\r\n")
+    assert head.headers["x"] == "a" * (MAX_HEADER_BYTES - framing)
+
+
+def test_head_one_byte_over_the_cap_is_431():
+    with pytest.raises(HttpError) as error:
+        run(parse(_head_of_size(MAX_HEADER_BYTES + 1)))
+    assert error.value.status == 431
+    assert str(MAX_HEADER_BYTES) in str(error.value)
+
+
+def test_head_over_the_stream_limit_is_431():
+    # Below the head cap but past the reader's own limit: readuntil
+    # raises LimitOverrunError instead of returning the head.
+    async def scenario():
+        reader = asyncio.StreamReader(limit=1024)
+        reader.feed_data(_head_of_size(2048))
+        reader.feed_eof()
+        return await read_head(reader)
+
+    with pytest.raises(HttpError) as error:
+        run(scenario())
+    assert error.value.status == 431
+    assert "stream limit" in str(error.value)
+
+
+#: Request-line bytes: anything but the CR and LF that end the line.
+_LINE_BYTES = st.binary(max_size=24).map(
+    lambda raw: raw.replace(b"\r", b"").replace(b"\n", b"")
+)
+_METHODS = st.one_of(
+    st.sampled_from(["GET", "POST", "HEAD", "PUT", "DELETE", "BREW", "get"]),
+    _LINE_BYTES.map(lambda raw: raw[:6].decode("latin-1")),
+)
+_VERSIONS = st.one_of(
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2", "http/1.1", ""]),
+    _LINE_BYTES.map(lambda raw: raw[:9].decode("latin-1")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_METHODS, _LINE_BYTES, _VERSIONS)
+def test_request_lines_parse_or_raise_http_error(method, target, version):
+    raw = (
+        method.encode("latin-1") + b" " + target + b" "
+        + version.encode("latin-1") + b"\r\n\r\n"
+    )
+    try:
+        head = run(parse(raw))
+    except HttpError as error:
+        assert error.status in (400, 405, 431)
+        return
+    assert head.method == method
+    assert head.version == version
+    assert head.path == unquote(target.decode("ascii").partition("?")[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(max_size=12),
+    st.dictionaries(st.text(min_size=1, max_size=4), st.text(max_size=4),
+                    max_size=3),
+)
+def test_percent_encoded_targets_decode_to_their_path(path, query):
+    target = "/" + quote(path, safe="/")
+    query_string = urlencode(query)
+    if query_string:
+        target += "?" + query_string
+    head = run(parse(f"GET {target} HTTP/1.1\r\n\r\n".encode("ascii")))
+    assert head.path == unquote("/" + quote(path, safe="/")) == "/" + path
+    assert head.query == dict(parse_qsl(query_string))
+    for key, value in query.items():
+        if value:
+            assert head.query[key] == value
 
 
 def test_keep_alive_negotiation():

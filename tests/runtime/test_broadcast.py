@@ -188,14 +188,6 @@ class TestExecutorBroadcast:
             assert info["objects"] == 1
             assert info["digests"] == [database.digest()]
 
-    def test_digestless_objects_key_on_content(self):
-        payload = ("model", (1.0, 2.0), 0.5)
-        with ParallelExecutor(WORKERS) as executor:
-            first = executor.broadcast(payload)
-            second = executor.broadcast(("model", (1.0, 2.0), 0.5))
-            assert first == second
-            assert executor.broadcast_info()["objects"] == 1
-
     @needs_shm
     def test_close_unlinks_segments(self, workload):
         database, _ = workload
@@ -263,7 +255,7 @@ class TestExecutorBroadcast:
             first = executor.run(evaluate_unary_queries, queries, payload)
             assert first == serial
             work = executor.work_done()
-            shards = executor.workers * 2  # DEFAULT_SHARDS_PER_WORKER
+            shards = executor.workers * 2  # SHARDS_PER_WORKER
             # Zero per-shard pickles: misses are bounded by the worker
             # count (one fetch per worker), never by the shard count.
             assert work["broadcast_misses"] <= executor.workers

@@ -173,37 +173,6 @@ class TestBoundedShards:
         assert evaluate_unary_queries(payload) == expected
 
 
-class TestPlanPrecompilation:
-    def test_initialize_worker_compiles_plan_queries(self, workload):
-        _, queries = workload
-        from repro.cq.engine import default_engine
-        from repro.runtime.tasks import initialize_worker
-
-        previous = set_default_engine(EvaluationEngine())
-        try:
-            initialize_worker(tuple(queries))
-            plans = default_engine().cache_details()["plans"]
-            assert plans.currsize == len(set(queries))
-        finally:
-            set_default_engine(previous)
-
-    def test_parallel_results_identical_with_precompiled_plans(
-        self, workload
-    ):
-        database, queries = workload
-        serial = SerialExecutor().run(
-            evaluate_unary_queries, queries, _payload_for(database)
-        )
-        with make_executor(WORKERS, plan_queries=tuple(queries)) as executor:
-            parallel = executor.run(
-                evaluate_unary_queries, queries, _payload_for(database)
-            )
-            assert executor.fallback_reason is None
-            # Worker engines report the precompiled plans in their caches.
-            assert executor.cache_info().currsize >= len(set(queries))
-        assert parallel == serial
-
-
 def _strip_marker_task(payload):
     """A picklable task whose payload carries an unpicklable marker."""
     queries, database, _marker = payload

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.runtime import ShardPlan
+from repro.runtime.shard import SHARDS_PER_WORKER
 
 
 class TestBalanced:
@@ -45,8 +46,8 @@ class TestBalanced:
 
 class TestForWorkers:
     def test_targets_shards_per_worker(self):
-        plan = ShardPlan.for_workers(100, 4, shards_per_worker=2)
-        assert len(plan) == 8
+        plan = ShardPlan.for_workers(100, 4)
+        assert len(plan) == 4 * SHARDS_PER_WORKER
 
     def test_never_empty_shards(self):
         plan = ShardPlan.for_workers(3, 8)

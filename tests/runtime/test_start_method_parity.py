@@ -18,12 +18,9 @@ import threading
 
 import pytest
 
-from repro.core.languages import BoundedAtomsCQ, GhwClass
-from repro.core.pipeline import FeatureEngineeringSession
 from repro.core.separability import feature_pool
 from repro.cq.engine import EvaluationEngine
 from repro.runtime import make_executor
-from repro.serve import InferenceService
 from repro.workloads.molecules import molecule_database
 from repro.workloads.retail import retail_database
 
@@ -127,47 +124,3 @@ class TestBoundedFillParity:
             ) == serial
             assert executor.fallback_reason is None
             assert executor.effective_start_method == method
-
-
-@pytest.fixture(scope="module", params=["retail", "molecules"])
-def served(request):
-    if request.param == "retail":
-        training = retail_database(n_customers=6, seed=3)
-        language = BoundedAtomsCQ(3)
-        evaluations = [
-            retail_database(n_customers=4, seed=seed).database
-            for seed in (11, 12)
-        ]
-    else:
-        training = molecule_database(n_molecules=4, seed=7)
-        language = GhwClass(1)
-        evaluations = [
-            molecule_database(n_molecules=3, seed=seed).database
-            for seed in (21, 22)
-        ]
-    evaluations.append(training.database)
-    with FeatureEngineeringSession(training, language) as session:
-        assert session.separable
-        artifact = session.export_artifact()
-        expected = [session.classify(db) for db in evaluations]
-    return artifact, evaluations, expected
-
-
-class TestPredictBatchParity:
-    @pytest.mark.parametrize("method", START_METHODS)
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bit_identical_to_session(self, served, method, workers, request):
-        artifact, evaluations, expected = served
-        _select(method, request)
-        with InferenceService(artifact, workers=workers) as service:
-            assert service.predict_batch(evaluations) == expected
-            if workers <= 1:
-                return
-            executor = service.executor
-            assert executor.fallback_reason is None
-            assert executor.effective_start_method == method
-            work = executor.work_done()
-            assert work["broadcast_misses"] <= workers * 2  # db + model
-            assert service.predict_batch(evaluations) == expected
-            again = executor.work_done()
-            assert again["broadcast_hits"] > work["broadcast_hits"]

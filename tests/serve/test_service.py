@@ -2,22 +2,18 @@
 
 The acceptance criterion of the serving subsystem is bit-identity: a
 prediction served from an exported artifact must equal
-``FeatureEngineeringSession.classify`` on the same input, serially and
-under micro-batched multi-worker execution alike.
+``FeatureEngineeringSession.classify`` on the same input, whether the
+memo answers it or the engine evaluates it.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
 from repro.core.languages import BoundedAtomsCQ, GhwClass
 from repro.core.pipeline import FeatureEngineeringSession
-from repro.cq.engine import EvaluationEngine
+from repro.cq.engine import DEFAULT_CACHE_SIZE, EvaluationEngine
 from repro.exceptions import ReproError, ServeError
-from repro.runtime import SerialExecutor
-from repro.runtime.tasks import classify_databases, initialize_worker
 from repro.serve import InferenceService
 from repro.workloads.molecules import molecule_database
 from repro.workloads.retail import retail_database
@@ -69,23 +65,25 @@ class _ExplodingEngine(EvaluationEngine):
 class TestDifferential:
     """Served predictions are bit-identical to session classification."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_retail_predict_batch(self, retail_session, retail_evals, workers):
+    # ``repeats`` copies of the batch in one call: from the second copy on,
+    # every answer comes from the memo.
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_retail_predict_batch(self, retail_session, retail_evals, repeats):
         expected = [retail_session.classify(db) for db in retail_evals]
         artifact = retail_session.export_artifact()
-        with InferenceService(artifact, workers=workers) as service:
-            got = service.predict_batch(retail_evals)
-        assert got == expected
+        with InferenceService(artifact) as service:
+            got = service.predict_batch(retail_evals * repeats)
+        assert got == expected * repeats
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("repeats", [1, 2])
     def test_molecules_predict_batch(
-        self, molecules_session, molecules_evals, workers
+        self, molecules_session, molecules_evals, repeats
     ):
         expected = [molecules_session.classify(db) for db in molecules_evals]
         artifact = molecules_session.export_artifact()
-        with InferenceService(artifact, workers=workers) as service:
-            got = service.predict_batch(molecules_evals)
-        assert got == expected
+        with InferenceService(artifact) as service:
+            got = service.predict_batch(molecules_evals * repeats)
+        assert got == expected * repeats
 
     def test_single_predict_matches_classify(
         self, retail_session, retail_evals
@@ -157,24 +155,6 @@ class TestDegradation:
         with pytest.raises(ServeError, match="on_error"):
             InferenceService(artifact, on_error="explode")
 
-    def test_worker_task_captures_per_database_errors(
-        self, retail_session, retail_evals
-    ):
-        """The shard task reports errors as data, never raises."""
-        initialize_worker()
-        pair = retail_session.materialize()
-        bad_weights = pair.classifier.weights + (1.0,)
-        model = (
-            pair.statistic.queries,
-            bad_weights,
-            pair.classifier.threshold,
-        )
-        outcomes = classify_databases((model, (retail_evals[0],)))
-        assert len(outcomes) == 1
-        status, message = outcomes[0]
-        assert status == "error"
-        assert message
-
 
 class TestLifecycle:
     def test_empty_batch(self, retail_session):
@@ -205,12 +185,23 @@ class TestLifecycle:
             assert service.metrics.warmups == 1
 
     def test_warm_up_compiles_all_statistic_plans(self, retail_session):
+        # The service evaluates the support, so warm-up compiles exactly
+        # the plans of the features with a nonzero weight.
         artifact = retail_session.export_artifact()
+        support = [
+            query
+            for query, weight in zip(
+                artifact.statistic, artifact.classifier.weights
+            )
+            if weight != 0
+        ]
+        assert 0 < len(support) < artifact.dimension
         engine = EvaluationEngine()
         with InferenceService(artifact, engine=engine) as service:
             service.warm_up()
             plans = engine.cache_details()["plans"]
-            assert plans.currsize == artifact.dimension
+            assert plans.currsize == len(support)
+            assert all(query in engine._plan_cache._data for query in support)
             # The first prediction hits every compiled plan instead of
             # compiling on the request clock.
             service.predict(retail_session.training.database)
@@ -218,52 +209,21 @@ class TestLifecycle:
             assert after.misses == plans.misses
             assert after.hits > 0
             snapshot = service.metrics_snapshot()
-            assert snapshot["engine"]["compiled_plans"] == artifact.dimension
+            assert snapshot["engine"]["compiled_plans"] == len(support)
             assert snapshot["engine"]["plan_cache_hits"] > 0
-
-    def test_warm_up_starts_every_spawn_worker(
-        self, retail_session, live_thread
-    ):
-        # A threaded parent gets a spawn pool, which starts workers on
-        # demand: warm-up must give each worker a shard, or the first
-        # real batch pays the cold start of the rest.
-        before = set(multiprocessing.active_children())
-        with InferenceService(
-            retail_session.export_artifact(), workers=2
-        ) as service:
-            service.warm_up()
-            assert service.executor.effective_start_method == "spawn"
-            started = set(multiprocessing.active_children()) - before
-            assert len(started) == service.workers
 
     def test_close_is_idempotent(self, retail_session):
         artifact = retail_session.export_artifact()
-        service = InferenceService(artifact, workers=2)
-        assert service.workers == 2
+        service = InferenceService(artifact)
         service.close()
         service.close()
-        assert service.executor is None
 
     def test_serves_serially_after_close(self, retail_session, retail_evals):
         artifact = retail_session.export_artifact()
-        service = InferenceService(artifact, workers=2)
+        service = InferenceService(artifact)
         service.close()
         expected = retail_session.classify(retail_evals[0])
         assert service.predict_batch([retail_evals[0]]) == [expected]
-
-    def test_external_executor_is_not_closed(self, retail_session):
-        artifact = retail_session.export_artifact()
-        with SerialExecutor() as external:
-            service = InferenceService(artifact, executor=external)
-            service.close()
-            assert service.executor is external
-
-    def test_context_manager_closes_pool(self, retail_session):
-        with InferenceService(
-            retail_session.export_artifact(), workers=2
-        ) as service:
-            assert service.executor is not None
-        assert service.executor is None
 
 
 class TestMetricsSnapshot:
@@ -282,12 +242,56 @@ class TestMetricsSnapshot:
         assert snapshot["latency_ms"]["p95"] >= snapshot["latency_ms"]["p50"]
         assert snapshot["throughput"]["requests_per_s"] > 0
 
-    def test_snapshot_reports_pool_figures(
-        self, retail_session, retail_evals
-    ):
+
+class TestSupportMemo:
+    """The memo keeps as many request databases as whole-pair serving did.
+
+    Each request brings ``support`` answers, so the service-built engine
+    holds ``support × ⌊DEFAULT_CACHE_SIZE / dimension⌋`` of them.
+    """
+
+    @staticmethod
+    def _resident(engine):
+        return {database for _, database in engine._answer_cache._data}
+
+    def test_memo_holds_the_whole_pair_database_count(self, retail_session):
         artifact = retail_session.export_artifact()
-        with InferenceService(artifact, workers=2) as service:
-            service.predict_batch(retail_evals[:2])
-            snapshot = service.metrics_snapshot()
-        assert snapshot["pool"]["workers"] == 2
-        assert 0.0 <= snapshot["pool"]["cache_hit_rate"] <= 1.0
+        support = sum(
+            1 for weight in artifact.classifier.weights if weight != 0
+        )
+        assert support > 0
+        databases = DEFAULT_CACHE_SIZE // artifact.dimension
+        requests = [
+            retail_database(n_customers=3, seed=seed).database
+            for seed in range(40, 40 + databases + 3)
+        ]
+        with InferenceService(artifact) as service:
+            engine = service._engine
+            assert engine.cache_details()["answers"].maxsize == (
+                support * databases
+            )
+            for database in requests:
+                service.predict(database)
+            resident = self._resident(engine)
+            assert len(resident) <= databases
+            assert requests[-1] in resident
+            # A re-sent resident database (new but equal) is answered by
+            # the memo: one hit per support feature and no evaluation.
+            before = engine.work_snapshot()
+            again = service.predict(
+                retail_database(n_customers=3, seed=40 + databases + 2)
+                .database
+            )
+            after = engine.work_snapshot()
+        assert again == retail_session.classify(requests[-1])
+        assert after["cache_hits"] - before["cache_hits"] == support
+        assert after["hom_checks"] == before["hom_checks"]
+        assert after["backtrack_nodes"] == before["backtrack_nodes"]
+
+    def test_a_given_engine_is_used_as_given(self, retail_session):
+        engine = EvaluationEngine(cache_size=7)
+        with InferenceService(
+            retail_session.export_artifact(), engine=engine
+        ) as service:
+            assert service._engine is engine
+            assert engine.cache_details()["answers"].maxsize == 7

@@ -324,19 +324,6 @@ class TestPredictCommand:
         assert labels["r1"] == expected
         assert labels[2] == expected  # the id-less line got its lineno
 
-    def test_workers_2_is_bit_identical(
-        self, model_file, requests_file, capsys
-    ):
-        assert main(
-            ["predict", requests_file, "--model", model_file]
-        ) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            ["predict", requests_file, "--model", model_file,
-             "--workers", "2"]
-        ) == 0
-        assert capsys.readouterr().out == serial
-
     def test_metrics_flag_prints_json_on_stderr(
         self, model_file, requests_file, capsys
     ):
@@ -602,13 +589,30 @@ class TestServeCommand:
         assert args.metrics_interval is None
         assert args.backend == "python"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "model.json", "--workers", "2"],
+            ["predict", "requests.jsonl", "--model", "m.json",
+             "--workers", "2"],
+        ],
+        ids=["serve", "predict"],
+    )
+    def test_serving_takes_no_workers_flag(self, argv, capsys):
+        from repro.cli import build_parser
+
+        # Serving runs in one process; only training commands shard.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "--workers" in capsys.readouterr().err
+
     def test_parser_full_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
             [
                 "serve", "a=x.json", "b@v2=y.json",
-                "--host", "0.0.0.0", "--port", "0", "--workers", "2",
+                "--host", "0.0.0.0", "--port", "0",
                 "--backend", "numpy", "--max-batch", "64",
                 "--batch-window-ms", "5", "--max-in-flight", "32",
                 "--max-loaded", "1", "--on-error", "fail",
