@@ -1,4 +1,4 @@
-"""Make the benchmarks directory importable and add the ``--workers`` flag."""
+"""Make the benchmarks directory importable and add the ``--backend`` flag."""
 
 from __future__ import annotations
 
@@ -10,14 +10,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--workers",
-        action="store",
-        type=int,
-        default=None,
-        help="worker processes for sharded benches "
-        "(exported as REPRO_BENCH_WORKERS; default: serial)",
-    )
-    parser.addoption(
         "--backend",
         action="store",
         choices=("python", "numpy"),
@@ -28,11 +20,6 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    workers = config.getoption("--workers", default=None)
-    if workers is not None:
-        from harness import WORKERS_ENV
-
-        os.environ[WORKERS_ENV] = str(workers)
     backend = config.getoption("--backend", default=None)
     if backend is not None:
         from harness import BACKEND_ENV

@@ -19,37 +19,22 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Environment knob behind the benchmark suite's ``--workers`` flag
-#: (``pytest benchmarks/ --workers N`` sets it; see benchmarks/conftest.py).
-WORKERS_ENV = "REPRO_BENCH_WORKERS"
-
 #: Environment knob behind the benchmark suite's ``--backend`` flag:
-#: the evaluation backend engines and executors built through this
-#: harness use (``python`` or ``numpy``).
+#: the evaluation backend engines built through this harness use
+#: (``python`` or ``numpy``).
 BACKEND_ENV = "REPRO_BENCH_BACKEND"
 
 __all__ = [
     "report",
     "timed",
     "timed_with_counters",
-    "bench_workers",
     "bench_backend",
     "bench_engine",
-    "bench_executor",
     "environment_header",
     "growth_exponent",
     "RESULTS_DIR",
-    "WORKERS_ENV",
     "BACKEND_ENV",
 ]
-
-
-def bench_workers(default: int = 1) -> int:
-    """The worker count benches should shard over (the ``--workers`` flag)."""
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, default)))
-    except ValueError:
-        return max(1, default)
 
 
 def bench_backend(default: str = "python") -> str:
@@ -66,21 +51,6 @@ def bench_engine(**kwargs):
 
     kwargs.setdefault("backend", bench_backend())
     return EvaluationEngine(**kwargs)
-
-
-def bench_executor(workers: int = None):
-    """A fresh :class:`repro.runtime.Executor` for ``workers`` processes.
-
-    ``None`` reads the suite-wide ``--workers`` flag.  The pool's engines
-    run on the suite-wide ``--backend``.  Callers own the executor and
-    should ``close()`` it (or use it as a context manager).
-    """
-    from repro.runtime import make_executor
-
-    return make_executor(
-        bench_workers() if workers is None else workers,
-        backend=bench_backend(),
-    )
 
 
 def environment_header() -> str:

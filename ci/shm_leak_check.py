@@ -4,8 +4,8 @@ Every segment the zero-copy runtime creates is named ``repro-shm-*``
 (:data:`repro.runtime.broadcast.SEGMENT_PREFIX`), owned by the parent
 executor, and unlinked in :meth:`~repro.runtime.executor.ParallelExecutor.
 close`.  This script drives broadcast-heavy dispatch under every available
-start method — indicator matrices on both backends — and then asserts
-``/dev/shm`` holds not one stray segment.  A leak
+start method — pointed hom checks, the CQ-CLS preorder's shard task, on
+both backends — and then asserts ``/dev/shm`` holds not one stray segment.  A leak
 here means a worker unlinked a borrowed segment's tracker entry, or an
 owner path skipped its release.
 
@@ -24,11 +24,10 @@ import threading
 
 sys.path.insert(0, "src")
 
-from repro.core.separability import feature_pool
-from repro.cq.engine import EvaluationEngine
-from repro.runtime import ParallelExecutor
+from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.runtime.broadcast import SEGMENT_PREFIX
-from repro.workloads.retail import retail_database
+from repro.runtime.tasks import pointed_hom_checks
+from repro.workloads.molecules import molecule_database
 
 SHM_GLOB = f"/dev/shm/{SEGMENT_PREFIX}*"
 
@@ -55,18 +54,20 @@ def _start_method(method: str):
 
 
 def _drive_executor(method: str, backend: str) -> None:
-    training = retail_database(n_customers=6, seed=3)
-    queries = feature_pool(training, 2)
-    database = training.database
+    database = molecule_database(n_molecules=4, seed=7).database
     entities = sorted(database.entities(), key=repr)
-    serial = EvaluationEngine(backend=backend).indicator_matrix(
-        queries, database, entities
+    pairs = [(left, right) for left in entities for right in entities]
+    serial = SerialExecutor().run(
+        pointed_hom_checks, pairs,
+        lambda chunk: (database, database, tuple(chunk)),
     )
     with _start_method(method), ParallelExecutor(
         2, backend=backend
     ) as executor:
-        parallel = EvaluationEngine(backend=backend).indicator_matrix(
-            queries, database, entities, executor=executor
+        target = executor.broadcast(database)
+        parallel = executor.run(
+            pointed_hom_checks, pairs,
+            lambda chunk: (target, target, tuple(chunk)),
         )
         assert parallel == serial, (method, backend)
         assert executor.effective_start_method == method, (

@@ -87,8 +87,9 @@ def _add_language_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for sharded evaluation/generation "
-        "(default 1: fully serial)",
+        help="worker processes for the CQ-CLS hom-preorder and GHW(k) "
+        "feature generation (default 1: fully serial; CQ[m] indicator "
+        "fills always run in-process)",
     )
     _add_backend_option(parser)
 

@@ -11,10 +11,7 @@ instances here, with the greedy LP heuristic as the polynomial alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, FrozenSet, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime.executor import Executor
+from typing import Any, FrozenSet, Optional
 
 from repro.data.database import Database
 from repro.data.labeling import Labeling, TrainingDatabase
@@ -61,22 +58,19 @@ def cqm_approx_separability(
     epsilon: float,
     max_occurrences: Optional[int] = None,
     method: str = "exact",
-    executor: Optional["Executor"] = None,
 ) -> CqmApproxResult:
     """CQ[m]-ApxSep (and CQ[m, p]-ApxSep): ε-error separability.
 
     With ``method="exact"`` the decision is sound and complete (exponential
     worst case); ``method="greedy"`` may report non-separable spuriously but
-    never claims separability falsely.  A multi-worker executor shards the
-    statistic evaluation (the polynomial part; the min-error search itself
-    stays in-process).
+    never claims separability falsely.
     """
     if not 0 <= epsilon < 1:
         raise SeparabilityError("epsilon must lie in [0, 1)")
     pool = feature_pool(training, max_atoms, max_occurrences)
     statistic = Statistic(pool)
     vectors, labels, entities = statistic.training_collection(
-        training, executor=executor, parents=pool.parents
+        training, parents=pool.parents
     )
     if method == "exact":
         solution: ApproxSeparation = min_errors_exact(vectors, labels)

@@ -84,10 +84,11 @@ class FeatureEngineeringSession:
     epsilon:
         Error budget in [0, 1); 0 demands perfect separation.
     workers:
-        Degree of parallelism for the sharded stages (statistic
-        evaluation, hom-preorder construction, feature generation); 1 (the
-        default) stays fully in-process.  Ignored when ``executor`` is
-        given.
+        Degree of parallelism for the sharded stages (the CQ-CLS
+        hom-preorder and GHW(k) feature generation); 1 (the default)
+        stays fully in-process.  The pool starts on first use, so a
+        CQ[m] fit, whose indicator fill runs in-process, never starts
+        it.  Ignored when ``executor`` is given.
     executor:
         An explicit :class:`~repro.runtime.Executor` to use instead of one
         owned by the session.  The caller keeps ownership (the session
@@ -97,8 +98,7 @@ class FeatureEngineeringSession:
         worker pools: ``"python"`` (default) or ``"numpy"`` (vectorized
         indicator fills, falling back per instance; results are
         bit-identical).  Fitting itself stays on the process-default
-        engine — the separability algorithms are hom-preorder bound, not
-        matrix-fill bound.
+        engine, the CQ[m] indicator fill included.
     store:
         Optional warm-state store (path string or an open store object)
         for the session's classification engine and any session-owned
@@ -174,7 +174,6 @@ class FeatureEngineeringSession:
                     training,
                     language.max_atoms,
                     language.max_occurrences,
-                    executor=self._executor,
                 )
                 self._separable = result.separable
                 self._pair = result.separating_pair
@@ -185,7 +184,6 @@ class FeatureEngineeringSession:
                     language.max_atoms,
                     self._epsilon,
                     language.max_occurrences,
-                    executor=self._executor,
                 )
                 self._separable = result.separable
                 self._pair = result.pair if result.separable else None
@@ -304,9 +302,7 @@ class FeatureEngineeringSession:
 
             return fo_classify(self._fo_training, evaluation)
         if self._pair is not None:
-            return self._pair.classify(
-                evaluation, engine=self._engine, executor=self._executor
-            )
+            return self._pair.classify(evaluation, engine=self._engine)
         raise SeparabilityError(  # pragma: no cover - all languages covered
             f"{self._language!r} has no classification routine"
         )

@@ -11,12 +11,9 @@ occurrences gives the PTIME class CQ[m, p] of Prop 4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cq.engine import EvaluationEngine
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime.executor import Executor
 from repro.cq.enumeration import FeaturePool, enumerate_feature_queries
 from repro.data.labeling import TrainingDatabase
 from repro.data.schema import EntitySchema, RelationSymbol
@@ -87,7 +84,6 @@ def cqm_separability(
     max_occurrences: Optional[int] = None,
     dedupe: str = "equivalence",
     engine: Optional[EvaluationEngine] = None,
-    executor: Optional["Executor"] = None,
 ) -> SeparabilityResult:
     """CQ[m]-SEP (and CQ[m, p]-SEP) with feature generation (Prop 4.1/4.3).
 
@@ -95,9 +91,7 @@ def cqm_separability(
     over the training database through the (given or default) evaluation
     engine, and decides exact linear separability by LP; on success the
     returned pair contains an integral classifier verified to separate the
-    training database.  A multi-worker executor shards the per-feature
-    evaluations — the ``dimension`` independent CQ evaluations of Prop 4.1
-    — across worker processes.
+    training database.
 
     The fill follows the refinement order the enumeration walked: each
     feature is evaluated only on the entities its parent in the pool
@@ -109,7 +103,7 @@ def cqm_separability(
     pool = feature_pool(training, max_atoms, max_occurrences, dedupe)
     statistic = Statistic(pool)
     vectors, labels, entities = statistic.training_collection(
-        training, engine=engine, executor=executor, parents=pool.parents
+        training, engine=engine, parents=pool.parents
     )
     classifier = find_separator(vectors, labels)
     vector_map = dict(zip(entities, vectors))

@@ -12,7 +12,6 @@ classification against the same database reuses cached query answers.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -24,9 +23,6 @@ from typing import (
 )
 
 from repro.cq.engine import EvaluationEngine, default_engine
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime.executor import Executor
 from repro.cq.query import CQ
 from repro.data.database import Database
 from repro.data.labeling import Labeling, TrainingDatabase
@@ -105,29 +101,25 @@ class Statistic:
         database: Database,
         entities: Optional[Sequence[Element]] = None,
         engine: Optional[EvaluationEngine] = None,
-        executor: Optional["Executor"] = None,
         parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Dict[Element, Tuple[int, ...]]:
         """``Π^D`` over all (or the given) entities, evaluated batch-wise.
 
         Each feature query is evaluated once over the database (and the
         engine memoizes the answer), so the cost is ``dimension`` query
-        evaluations rather than ``dimension × n`` pointed checks.  A
-        multi-worker :class:`~repro.runtime.Executor` shards the
-        per-query evaluations across worker processes.  ``parents``
-        bounds each query's search by an earlier query's answers (see
+        evaluations rather than ``dimension × n`` pointed checks.
+        ``parents`` bounds each query's search by an earlier query's
+        answers (see
         :meth:`~repro.cq.engine.EvaluationEngine.evaluate_unary_batch`).
         """
         return (engine or default_engine()).evaluate_statistic(
-            self._queries, database, entities, executor=executor,
-            parents=parents,
+            self._queries, database, entities, parents=parents
         )
 
     def training_collection(
         self,
         training: TrainingDatabase,
         engine: Optional[EvaluationEngine] = None,
-        executor: Optional["Executor"] = None,
         parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[List[Tuple[int, ...]], List[int], List[Element]]:
         """``(Π^D(e), λ(e))`` rows in a deterministic entity order.
@@ -137,8 +129,7 @@ class Statistic:
         """
         entities = sorted(training.entities, key=repr)
         vector_map = self.vectors(
-            training.database, entities, engine=engine, executor=executor,
-            parents=parents,
+            training.database, entities, engine=engine, parents=parents
         )
         vectors = [vector_map[entity] for entity in entities]
         labels = [training.label(entity) for entity in entities]
@@ -203,12 +194,9 @@ class SeparatingPair:
         self,
         database: Database,
         engine: Optional[EvaluationEngine] = None,
-        executor: Optional["Executor"] = None,
     ) -> Labeling:
         """The labeling of all entities of an evaluation database."""
-        vector_map = self._statistic.vectors(
-            database, engine=engine, executor=executor
-        )
+        vector_map = self._statistic.vectors(database, engine=engine)
         return Labeling(
             {
                 entity: self._classifier.predict(vector)

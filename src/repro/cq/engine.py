@@ -54,6 +54,7 @@ over a process-wide default engine; the frozen uncached reference lives in
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from collections import OrderedDict
 from functools import partial
@@ -79,7 +80,6 @@ from repro.cq.homomorphism import HomomorphismProgram, SearchCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.cq.plan import PlanCounters, QueryPlan
-    from repro.runtime.executor import Executor
 from repro.cq.query import CQ
 from repro.data.database import Database
 from repro.exceptions import (
@@ -559,7 +559,6 @@ class EvaluationEngine:
         compute: Optional[
             Callable[[List[CQ], Dict[CQ, Rows]], Sequence[Rows]]
         ],
-        sweep: bool = True,
     ) -> List[Optional[Rows]]:
         """``q(D)`` rows per query, along the engine's one resolution path.
 
@@ -570,8 +569,7 @@ class EvaluationEngine:
         steps answered, by query: a swept answer is not memoized until
         this call returns.  Computed rows are memoized and persisted.
         A query no step answers (no ``compute`` given) resolves to
-        ``None``.  ``sweep=False`` skips the sweep for a ``compute`` that
-        hands the queries to other engines, which sweep for themselves.
+        ``None``.
 
         The memo and the store see the engine's canonical instance of
         ``database``: the first live database with the same facts.  A
@@ -600,7 +598,7 @@ class EvaluationEngine:
         if not pending:
             return resolved
         computed: Dict[CQ, Rows] = {}
-        if sweep and self.backend == "numpy":
+        if self.backend == "numpy":
             for query in pending:
                 rows = self._vectorized_answer(query, database)
                 if rows is not None:
@@ -632,10 +630,13 @@ class EvaluationEngine:
     ) -> List[Rows]:
         """``q(D)`` per query, by its compiled backtracking program.
 
-        One run of the plan's
-        :class:`~repro.cq.homomorphism.HomomorphismProgram`
-        per candidate assignment of the free variables (candidates
-        pre-filtered through the database index).  The runs bypass the hom
+        The plan's :class:`~repro.cq.homomorphism.HomomorphismProgram`
+        decides its ground parts (those holding no free variable) once for
+        the database; if one fails, ``q(D)`` is empty.  Otherwise the
+        program's other parts run once per candidate assignment of the
+        free variables (candidates pre-filtered through the database
+        index).  Each candidate counts as one hom check either way, and a
+        ground part's search nodes count once.  The runs bypass the hom
         memo: the answer memo already covers the whole ``q(D)``.
 
         ``bounds`` maps a unary query to its parent, a query whose answers
@@ -662,14 +663,20 @@ class EvaluationEngine:
                 rows = frozenset()
             else:
                 program = self.plan_for(query).program
-                free = query.free_variables
-                rows = frozenset(
-                    values
-                    for values in itertools.product(*candidate_sets)
-                    if program.run(
-                        database, dict(zip(free, values)), self.counters.search
+                search = self.counters.search
+                if program.ground_holds(database, search):
+                    pointed = program.pointed
+                    free = query.free_variables
+                    rows = frozenset(
+                        values
+                        for values in itertools.product(*candidate_sets)
+                        if pointed.run(
+                            database, dict(zip(free, values)), search
+                        )
                     )
-                )
+                else:
+                    search.hom_checks += math.prod(map(len, candidate_sets))
+                    rows = frozenset()
             if bounds:
                 answered[query] = rows
             answers.append(rows)
@@ -763,23 +770,17 @@ class EvaluationEngine:
         self,
         queries: Sequence[CQ],
         database: Database,
-        executor: Optional["Executor"] = None,
         parents: Optional[Sequence[Optional[int]]] = None,
     ) -> List[FrozenSet[Element]]:
-        """Answer sets for a batch of unary queries, optionally sharded.
+        """Answer sets for a batch of unary queries.
 
-        The batch resolves in one pass.  Its compute step is the compiled
-        backtracking program, or — with a multi-worker executor — shards
-        dispatched to worker processes (each running this same batch path
-        on its own engine), merged back in query order and memoized here,
-        so parallel results are bit-identical to serial ones and later
-        serial calls stay warm.
+        The batch resolves in one pass, in this process; its compute step
+        is the compiled backtracking program (see :meth:`_backtrack`).
 
         ``parents``, when given, has one entry per query: the index of an
         earlier query whose answers contain this one's on every database,
         or ``None``.  The backtracking step then searches a query only on
-        its parent's answers (see :meth:`_backtrack`); worker shards carry
-        each query's parent with it.  Answers are the same with or without
+        its parent's answers.  Answers are the same with or without
         parents; wrong containments give wrong answers, so only pass what
         is known to hold, like the ``parents`` of
         :func:`~repro.cq.enumeration.enumerate_feature_queries`.
@@ -800,60 +801,16 @@ class EvaluationEngine:
                         "earlier query"
                     )
                 bounds[queries[index]] = queries[parent]
-        if executor is None or executor.workers <= 1 or len(queries) <= 1:
-            resolved = self._resolve(
-                queries, database, partial(self._backtrack, database, bounds)
-            )
-        else:
-            resolved = self._resolve(
-                queries,
-                database,
-                partial(self._dispatch, executor, database, bounds),
-                sweep=False,
-            )
-        return [frozenset(row[0] for row in rows) for rows in resolved]
-
-    def _dispatch(
-        self,
-        executor: "Executor",
-        database: Database,
-        bounds: Mapping[CQ, CQ],
-        queries: List[CQ],
-        _known: Mapping[CQ, Rows],
-    ) -> List[Rows]:
-        """``q(D)`` per unary query, computed by the executor's workers.
-
-        Each shard carries its queries' parents as queries.  Shards are
-        contiguous runs of the batch, so a parent is mostly in its child's
-        shard; the worker answers one from outside the shard itself,
-        which keeps each shard a pure function of its payload.
-        """
-        # Local import: repro.runtime imports this module at load time.
-        from repro.runtime.tasks import evaluate_unary_queries
-
-        # Broadcast the shared target database once (digest-keyed): shard
-        # payloads carry a tiny ref, workers resolve it from their resident
-        # cache, and only the query chunks ship.
-        target = executor.broadcast(database)
-        answers = executor.run(
-            evaluate_unary_queries,
-            queries,
-            lambda chunk: (
-                tuple(chunk),
-                tuple(bounds.get(query) for query in chunk),
-                target,
-            ),
+        resolved = self._resolve(
+            queries, database, partial(self._backtrack, database, bounds)
         )
-        return [
-            frozenset((element,) for element in answer) for answer in answers
-        ]
+        return [frozenset(row[0] for row in rows) for rows in resolved]
 
     def indicator_matrix(
         self,
         queries: Sequence[CQ],
         database: Database,
         elements: Sequence[Element],
-        executor: Optional["Executor"] = None,
         parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Tuple[Tuple[int, ...], ...]:
         """Rows ``Π^D(e)`` for each element, amortizing across elements.
@@ -861,15 +818,11 @@ class EvaluationEngine:
         Each query is evaluated once over the database (memoized), and all
         element rows are read off the answer sets — ``len(queries)`` query
         evaluations instead of ``len(queries) × len(elements)`` independent
-        ``selects`` candidate derivations.  With a multi-worker
-        ``executor`` the query evaluations are sharded across worker
-        processes (order-preserving, bit-identical results).  ``parents``
-        bounds each query's search by an earlier one's answers, as in
+        ``selects`` candidate derivations.  ``parents`` bounds each query's
+        search by an earlier one's answers, as in
         :meth:`evaluate_unary_batch`.
         """
-        answers = self.evaluate_unary_batch(
-            queries, database, executor, parents
-        )
+        answers = self.evaluate_unary_batch(queries, database, parents)
         return tuple(
             tuple(1 if element in answer else -1 for answer in answers)
             for element in elements
@@ -880,23 +833,18 @@ class EvaluationEngine:
         statistic: Iterable[CQ],
         database: Database,
         entities: Optional[Sequence[Element]] = None,
-        executor: Optional["Executor"] = None,
         parents: Optional[Sequence[Optional[int]]] = None,
     ) -> Dict[Element, Tuple[int, ...]]:
         """``Π^D`` over all (or the given) entities, evaluated batch-wise.
 
         Accepts a :class:`~repro.core.statistic.Statistic` or any iterable
-        of unary feature queries, an optional
-        :class:`~repro.runtime.Executor` to shard the per-query work, and
-        optional ``parents`` that bound each query's search (see
-        :meth:`evaluate_unary_batch`).
+        of unary feature queries, and optional ``parents`` that bound each
+        query's search (see :meth:`evaluate_unary_batch`).
         """
         queries = list(statistic)
         if entities is None:
             entities = sorted(database.entities(), key=repr)
-        rows = self.indicator_matrix(
-            queries, database, entities, executor, parents
-        )
+        rows = self.indicator_matrix(queries, database, entities, parents)
         return dict(zip(entities, rows))
 
     # ------------------------------------------------------------------

@@ -12,7 +12,10 @@ assignments propagate early), per-element *occurrence signatures* (a
 positional, arc-consistency-style prefilter answered by index lookups), a
 *zip schedule* recording per fact slot which elements are already bound,
 and per-fact *lookup slots* that enumerate only the target facts whose
-indexed position matches an already-bound element.  Deciding existence is
+indexed position matches an already-bound element.  A program is compiled
+as *parts*, the connected components of the source once the seeded
+elements are removed, and a check decides them one after another, so
+independent parts cost a sum, not a product.  Deciding existence is
 NP-complete in general; the instances in this library are small by design.
 
 :func:`all_homomorphisms` and the functions built on it compile a program
@@ -26,6 +29,7 @@ whole check results lives one level up, in :mod:`repro.cq.engine`.
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     Any,
     Dict,
@@ -60,7 +64,9 @@ Assignment = Dict[Element, Element]
 class SearchCounters:
     """Mutable tally of homomorphism-search work.
 
-    ``hom_checks`` counts top-level searches started; ``backtrack_nodes``
+    ``hom_checks`` counts top-level searches started, one per check however
+    many parts it has (the engine's batch path also counts one per
+    candidate that a failed ground part answered); ``backtrack_nodes``
     counts candidate target facts tried (search-tree nodes expanded).  Both
     :class:`HomomorphismProgram` (whether a plan runs it or a per-call
     function compiled it) and the frozen naive oracle in
@@ -120,76 +126,47 @@ def _connected_order(ranked: Sequence[Any], seeded: Set[Element]) -> List[Any]:
     return ordered
 
 
-class HomomorphismProgram:
-    """A compiled backtracking search for one source database.
+class _Part:
+    """One connected component of a :class:`HomomorphismProgram`'s source.
 
-    Compiled once per ``(source, seeded elements)`` pair and reusable
-    against any target database.  ``seeded`` is the set of source elements
-    that every ``fixed`` assignment passed to :meth:`run` will bind (for a
-    CQ plan: the free variables) — the fact order and the zip schedule
-    depend on it, so :meth:`run` rejects assignments over a different key
-    set rather than silently searching with a stale schedule.
+    The components are those of the source's facts once the seeded
+    elements are removed, so two parts share only seeded elements, which
+    every run binds.  A part holds its own occurrence signatures, fact
+    order, zip schedule and lookup slots, and is searched on its own.
+    ``seeded`` is the set of seeded elements it mentions; a part that
+    mentions none is *ground*: whether it maps depends on the target
+    alone.
     """
 
-    __slots__ = (
-        "source",
-        "seeded",
-        "_signatures",
-        "_relations",
-        "_slots",
-        "_lookups",
-    )
+    __slots__ = ("seeded", "_signatures", "_relations", "_slots", "_lookups")
 
     def __init__(
-        self,
-        source: Database,
-        seeded: FrozenSet[Element],
-        signatures: Tuple[Tuple[Element, Tuple[Tuple[str, int], ...]], ...],
-        relations: Tuple[str, ...],
-        slots: Tuple[Tuple[Tuple[Element, bool], ...], ...],
-        lookups: Tuple[Optional[Tuple[int, Element]], ...],
+        self, facts: Sequence[Fact], seeded: FrozenSet[Element]
     ) -> None:
-        self.source = source
-        self.seeded = seeded
-        self._signatures = signatures
-        self._relations = relations
-        self._slots = slots
-        self._lookups = lookups
-
-    @classmethod
-    def compile(
-        cls, source: Database, seeded: Sequence[Element] = ()
-    ) -> "HomomorphismProgram":
-        """Analyze ``source`` once: signatures, fact order, zip schedule."""
-        seeded_set = frozenset(seeded)
-
         # Per-element occurrence signature: every (relation, position) the
         # element occupies.  At run time the candidate set of the element
         # is the intersection of the target index's occurrence sets over
         # this signature — no rescan of either side.
         occurrence: Dict[Element, Set[Tuple[str, int]]] = {}
-        for fact in source.facts:
+        for fact in facts:
             for position, element in enumerate(fact.arguments):
                 occurrence.setdefault(element, set()).add(
                     (fact.relation, position)
                 )
-        signatures = tuple(
+        self.seeded = seeded.intersection(occurrence)
+        self._signatures = tuple(
             (element, tuple(sorted(pairs)))
             for element, pairs in sorted(
                 occurrence.items(), key=lambda item: repr(item[0])
             )
         )
 
-        # The greedy connectivity order is computed once, seeded with the
-        # elements every run-time assignment will have bound already.
-        facts = _order_facts(source, set(seeded_set))
-
         # Zip schedule: per fact slot, (element, bound-before?) — True when
         # the element is seeded, bound by an earlier fact in the order, or
         # repeated from an earlier position of the same fact.  Lookup
         # slots: the first position whose element is bound before the fact
         # *starts*, usable to enumerate only matching target facts.
-        bound: Set[Element] = set(seeded_set)
+        bound: Set[Element] = set(seeded)
         relations: List[str] = []
         slots: List[Tuple[Tuple[Element, bool], ...]] = []
         lookups: List[Optional[Tuple[int, Element]]] = []
@@ -207,17 +184,9 @@ class HomomorphismProgram:
             relations.append(fact.relation)
             slots.append(tuple(slot))
             lookups.append(lookup)
-
-        return cls(
-            source,
-            seeded_set,
-            signatures,
-            tuple(relations),
-            tuple(slots),
-            tuple(lookups),
-        )
-
-    # ------------------------------------------------------------------
+        self._relations = tuple(relations)
+        self._slots = tuple(slots)
+        self._lookups = tuple(lookups)
 
     def _options(
         self, level: int, assignment: Assignment, index: Any
@@ -231,29 +200,13 @@ class HomomorphismProgram:
             )
         return index.facts_by_relation.get(relation, ())
 
-    def solutions(
-        self,
-        target: Database,
-        fixed: Optional[Mapping[Element, Element]] = None,
-        counters: Optional[SearchCounters] = None,
-    ) -> Iterator[Assignment]:
-        """Yield every homomorphism into ``target`` extending ``fixed``.
+    def candidates(
+        self, index: Any, fixed: Mapping[Element, Element]
+    ) -> Optional[Dict[Element, Set[Element]]]:
+        """Each element's candidate images, or ``None`` if one has none.
 
-        ``fixed`` must bind the seeded elements this program was compiled
-        for; extra keys outside the source domain are carried through into
-        every yielded assignment.
+        A seeded element's candidates must hold its image under ``fixed``.
         """
-        assignment: Assignment = dict(fixed) if fixed else {}
-        if not self.seeded <= set(assignment):
-            raise DatabaseError(
-                "homomorphism program compiled for seeded elements "
-                f"{sorted(map(repr, self.seeded))}, but the assignment "
-                f"binds {sorted(map(repr, assignment))}"
-            )
-        if counters is not None:
-            counters.hom_checks += 1
-
-        index = target.index
         positions = index.positions
         candidates: Dict[Element, Set[Element]] = {}
         for element, signature in self._signatures:
@@ -261,23 +214,34 @@ class HomomorphismProgram:
             for key in signature:
                 occupied = positions.get(key)
                 if occupied is None:
-                    return
+                    return None
                 allowed = (
                     set(occupied) if allowed is None else allowed & occupied
                 )
                 if not allowed:
-                    return
+                    return None
             assert allowed is not None
             candidates[element] = allowed
-        for element, image in assignment.items():
-            allowed = candidates.get(element)
-            if allowed is not None and image not in allowed:
-                return
+        for element in self.seeded:
+            if fixed[element] not in candidates[element]:
+                return None
+        return candidates
 
+    def search(
+        self,
+        index: Any,
+        fixed: Mapping[Element, Element],
+        candidates: Mapping[Element, Set[Element]],
+        counters: Optional[SearchCounters],
+    ) -> Iterator[Assignment]:
+        """Yield each extension of ``fixed`` over this part's elements.
+
+        ``candidates`` come from :meth:`candidates`.  The yielded
+        dictionary is the search's own, changed after each yield: copy
+        what must outlive the next step.
+        """
+        assignment: Assignment = dict(fixed)
         n_facts = len(self._slots)
-        if n_facts == 0:
-            yield dict(assignment)
-            return
         # Iterative depth-first search (an explicit stack: recursion depth
         # would equal the fact count, which product databases can push past
         # Python's recursion limit).  A frame is [options at this level
@@ -316,7 +280,7 @@ class HomomorphismProgram:
                         newly_bound.append(element)
                 if consistent:
                     if level + 1 == n_facts:
-                        yield dict(assignment)
+                        yield assignment
                         for element in newly_bound:
                             del assignment[element]
                         continue  # leaf: try the next option directly
@@ -332,20 +296,217 @@ class HomomorphismProgram:
             if not advanced:
                 stack.pop()
 
+
+def _filters(
+    parts: Sequence[_Part], index: Any, fixed: Mapping[Element, Element]
+) -> Optional[List[Dict[Element, Set[Element]]]]:
+    """Every part's candidates, or ``None`` once a part has none.
+
+    Computed before any part is searched, so a prefilter that fails
+    anywhere ends a check with no search at all.
+    """
+    filters = []
+    for part in parts:
+        candidates = part.candidates(index, fixed)
+        if candidates is None:
+            return None
+        filters.append(candidates)
+    return filters
+
+
+def _decide(
+    parts: Sequence[_Part],
+    index: Any,
+    fixed: Mapping[Element, Element],
+    counters: Optional[SearchCounters],
+) -> bool:
+    """Whether every part maps, extending ``fixed``."""
+    filters = _filters(parts, index, fixed)
+    return filters is not None and all(
+        next(part.search(index, fixed, candidates, counters), None)
+        is not None
+        for part, candidates in zip(parts, filters)
+    )
+
+
+class HomomorphismProgram:
+    """A compiled backtracking search for one source database.
+
+    Compiled once per ``(source, seeded elements)`` pair and reusable
+    against any target database.  ``seeded`` is the set of source elements
+    that every ``fixed`` assignment passed to :meth:`run` will bind (for a
+    CQ plan: the free variables) — the fact order and the zip schedule
+    depend on it, so :meth:`run` rejects assignments over a different key
+    set rather than silently searching with a stale schedule.
+
+    The program is compiled as *parts*: the connected components of the
+    source's facts once the seeded elements are removed (see
+    :class:`_Part`).  A homomorphism from a disjoint union is one from
+    each part (paper, Section 2), and the parts share only seeded
+    elements, which ``fixed`` binds; so a check decides the parts one
+    after another, and independent parts cost a sum, not a product.
+    ``ground`` holds the parts that mention no seeded element, and
+    ``pointed`` is the program without them: :meth:`ground_holds` decides
+    the ground parts once per target, and ``pointed`` then searches only
+    the rest per assignment.
+    """
+
+    __slots__ = ("source", "seeded", "parts", "ground", "pointed")
+
+    def __init__(
+        self,
+        source: Database,
+        seeded: FrozenSet[Element],
+        parts: Tuple[_Part, ...],
+    ) -> None:
+        self.source = source
+        self.seeded = seeded
+        self.parts = parts
+        self.ground = tuple(part for part in parts if not part.seeded)
+        self.pointed: HomomorphismProgram = (
+            self
+            if not self.ground
+            else HomomorphismProgram(
+                source, seeded, tuple(part for part in parts if part.seeded)
+            )
+        )
+
+    @classmethod
+    def compile(
+        cls, source: Database, seeded: Sequence[Element] = ()
+    ) -> "HomomorphismProgram":
+        """Analyze ``source`` once: its parts and each part's schedule."""
+        seeded_set = frozenset(seeded)
+
+        # The greedy connectivity order is computed once, seeded with the
+        # elements every run-time assignment will have bound already.
+        # Restricted to one component it is the order the same rule gives
+        # that component alone: picking a fact changes no key of a fact
+        # outside its component.
+        facts = _order_facts(source, set(seeded_set))
+
+        # Components over the unseeded elements (union-find); a fact over
+        # seeded elements only is a component of its own.  Parts come in
+        # the order of their first fact.
+        parent: Dict[Element, Element] = {}
+
+        def find(element: Element) -> Element:
+            while parent[element] != element:
+                parent[element] = parent[parent[element]]
+                element = parent[element]
+            return element
+
+        for fact in facts:
+            unseeded = [a for a in fact.arguments if a not in seeded_set]
+            for element in unseeded:
+                parent.setdefault(element, element)
+            for element in unseeded[1:]:
+                parent[find(element)] = find(unseeded[0])
+        components: Dict[Tuple[bool, Any], List[Fact]] = {}
+        for position, fact in enumerate(facts):
+            key: Tuple[bool, Any] = (False, position)
+            for element in fact.arguments:
+                if element not in seeded_set:
+                    key = (True, find(element))
+                    break
+            components.setdefault(key, []).append(fact)
+
+        return cls(
+            source,
+            seeded_set,
+            tuple(_Part(part, seeded_set) for part in components.values()),
+        )
+
+    # ------------------------------------------------------------------
+
+    def _start(
+        self,
+        fixed: Optional[Mapping[Element, Element]],
+        counters: Optional[SearchCounters],
+    ) -> Assignment:
+        assignment: Assignment = dict(fixed) if fixed else {}
+        if not self.seeded <= set(assignment):
+            raise DatabaseError(
+                "homomorphism program compiled for seeded elements "
+                f"{sorted(map(repr, self.seeded))}, but the assignment "
+                f"binds {sorted(map(repr, assignment))}"
+            )
+        if counters is not None:
+            counters.hom_checks += 1
+        return assignment
+
+    def solutions(
+        self,
+        target: Database,
+        fixed: Optional[Mapping[Element, Element]] = None,
+        counters: Optional[SearchCounters] = None,
+    ) -> Iterator[Assignment]:
+        """Yield every homomorphism into ``target`` extending ``fixed``.
+
+        ``fixed`` must bind the seeded elements this program was compiled
+        for; extra keys outside the source domain are carried through into
+        every yielded assignment.  Each homomorphism is one solution per
+        part: every part after the first is enumerated once, before the
+        first part is, so a part without solutions ends the search at the
+        cost of one search of its own.
+        """
+        assignment = self._start(fixed, counters)
+        if not self.parts:
+            yield assignment
+            return
+        index = target.index
+        filters = _filters(self.parts, index, assignment)
+        if filters is None:
+            return
+        later: List[List[Assignment]] = []
+        for part, candidates in zip(self.parts[1:], filters[1:]):
+            found = [
+                dict(solution)
+                for solution in part.search(
+                    index, assignment, candidates, counters
+                )
+            ]
+            if not found:
+                return
+            later.append(found)
+        for solution in self.parts[0].search(
+            index, assignment, filters[0], counters
+        ):
+            for combination in itertools.product(*later):
+                result = dict(solution)
+                for other in combination:
+                    result.update(other)
+                yield result
+
     def run(
         self,
         target: Database,
         fixed: Optional[Mapping[Element, Element]] = None,
         counters: Optional[SearchCounters] = None,
     ) -> bool:
-        """Whether a homomorphism into ``target`` extending ``fixed`` exists."""
-        for _ in self.solutions(target, fixed, counters):
-            return True
-        return False
+        """Whether a homomorphism into ``target`` extending ``fixed`` exists.
+
+        Decides the parts one after another, and counts one check
+        however many parts there are.
+        """
+        assignment = self._start(fixed, counters)
+        return _decide(self.parts, target.index, assignment, counters)
+
+    def ground_holds(
+        self, target: Database, counters: Optional[SearchCounters] = None
+    ) -> bool:
+        """Whether every ground part maps into ``target``.
+
+        One fact about ``target``, whatever the assignment: its search
+        nodes are counted, but it is no check of its own.
+        """
+        return _decide(self.ground, target.index, {}, counters)
 
     def __repr__(self) -> str:
         return (
-            f"HomomorphismProgram(facts={len(self._slots)}, "
+            f"HomomorphismProgram(facts="
+            f"{sum(len(part._slots) for part in self.parts)}, "
+            f"parts={len(self.parts)}, "
             f"seeded={sorted(map(repr, self.seeded))})"
         )
 
@@ -390,7 +551,8 @@ def has_homomorphism(
     This is the direct, non-memoized decision; for cached repeated checks
     go through :class:`repro.cq.engine.EvaluationEngine`.
     """
-    return find_homomorphism(source, target, fixed, counters) is not None
+    program = HomomorphismProgram.compile(source, tuple(fixed or ()))
+    return program.run(target, fixed, counters)
 
 
 def pointed_has_homomorphism(

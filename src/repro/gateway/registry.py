@@ -415,9 +415,8 @@ class ModelRegistry:
                         "leases": entry.leases,
                     }
                     if entry.service is not None:
-                        artifact = entry.service.artifact
-                        row["dimension"] = artifact.dimension
-                        row["checksum"] = artifact.checksum()
+                        row["dimension"] = entry.service.artifact.dimension
+                        row["checksum"] = entry.service.checksum
                     versions.append(row)
                 rows.append(
                     {

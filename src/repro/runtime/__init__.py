@@ -1,10 +1,12 @@
-"""repro.runtime: sharded parallel execution of statistic and feature work.
+"""repro.runtime: sharded parallel execution of hom-preorder and feature work.
 
 The paper's tractability results bottom out in embarrassingly-parallel
-bags of independent checks — ``dimension × databases`` CQ evaluations
-behind every indicator matrix, one hom check per entity pair behind
-CQ-CLS, one unraveling per ``→_k`` class behind Prop 5.6 generation.
-This package executes those bags across worker processes:
+bags of independent checks — one hom check per entity pair behind CQ-CLS,
+one unraveling per ``→_k`` class behind Prop 5.6 generation.  This
+package executes those bags across worker processes (indicator fills run
+in-process: deciding each feature's ground part once per database made a
+serial fill cheaper than a dispatch at the benchmarked sizes, DESIGN.md
+§3.8):
 
 - :class:`~repro.runtime.shard.ShardPlan` — deterministic chunking with an
   order-preserving merge (parallel results are bit-identical to serial);
@@ -18,9 +20,9 @@ This package executes those bags across worker processes:
   segment (or never, under ``fork``), and payloads carry
   :class:`~repro.runtime.broadcast.BroadcastRef` handles.
 
-Entry points (`EvaluationEngine.indicator_matrix`, ``Statistic.vectors``,
-the generators, ``FeatureEngineeringSession``, the CLI's ``--workers``)
-accept an executor and skip dispatch entirely when ``workers <= 1``.
+Entry points (the CQ-CLS preorder, the generators,
+``FeatureEngineeringSession``, the CLI's ``--workers``) accept an executor
+and skip dispatch entirely when ``workers <= 1``.
 """
 
 from repro.runtime.broadcast import BroadcastRef

@@ -1,8 +1,8 @@
 """Shard plans: deterministic chunking of embarrassingly-parallel work.
 
-Every parallel workload in the library — indicator-matrix evaluation,
-statistic materialization, candidate-feature generation — is a bag of
-independent item computations.  A :class:`ShardPlan` splits ``total`` items
+Every parallel workload in the library — the CQ-CLS hom-preorder's
+pointed checks, candidate-feature generation — is a bag of independent
+item computations.  A :class:`ShardPlan` splits ``total`` items
 into contiguous index ranges ("shards") whose per-shard results can be
 concatenated back into the original item order, which is what makes the
 parallel results bit-identical to serial ones: the merge is a deterministic

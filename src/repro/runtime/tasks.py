@@ -25,7 +25,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     NamedTuple,
     Optional,
     Tuple,
@@ -38,7 +37,6 @@ from repro.cq.engine import (
     set_default_engine,
 )
 from repro.cq.query import CQ
-from repro.data.database import Database
 from repro.runtime.broadcast import resolve
 from repro.runtime.broadcast import snapshot as broadcast_snapshot
 
@@ -47,7 +45,6 @@ __all__ = [
     "initialize_worker",
     "instrumented",
     "run_instrumented",
-    "evaluate_unary_queries",
     "pointed_hom_checks",
     "unravel_features",
 ]
@@ -125,44 +122,6 @@ def run_instrumented(task_and_payload: Tuple[Task, Payload]) -> ShardOutcome:
 # ----------------------------------------------------------------------
 # Shard tasks
 # ----------------------------------------------------------------------
-
-
-def evaluate_unary_queries(payload: Payload) -> Tuple[Any, ...]:
-    """Answer sets of a shard of unary feature queries over one database.
-
-    Payload: ``(queries, parents, database)``.  ``parents`` has one entry
-    per query: ``None``, or a query whose answers contain this one's (its
-    parent in the CQ[m] pool).  The database slot may be a
-    :class:`~repro.runtime.broadcast.BroadcastRef`, resolved through this
-    worker's resident cache (one fetch per worker, not per shard).
-
-    The shard runs through the engine's batch path, each query bounded by
-    its parent's answers.  A parent from outside the shard is answered
-    here first, through this worker's memo, so the result depends on the
-    payload alone.  Returns one frozenset per query, in shard order — the
-    unit of work behind ``indicator_matrix`` and ``evaluate_statistic``.
-    """
-    queries, parents, database = payload
-    database = resolve(database)
-    inside = set(queries)
-    outside = [
-        parent
-        for parent in dict.fromkeys(parents)
-        if parent is not None and parent not in inside
-    ]
-    batch = outside + list(queries)
-    position: Dict[CQ, int] = {}
-    for index, query in enumerate(batch):
-        position.setdefault(query, index)
-    bounds: List[Optional[int]] = [None] * len(outside)
-    for index, parent in enumerate(parents, start=len(outside)):
-        # A parent that sits after its child in the shard bounds nothing.
-        at = None if parent is None else position[parent]
-        bounds.append(at if at is not None and at < index else None)
-    answers = default_engine().evaluate_unary_batch(
-        batch, database, parents=bounds
-    )
-    return tuple(answers[len(outside):])
 
 
 def pointed_hom_checks(payload: Payload) -> Tuple[bool, ...]:

@@ -120,6 +120,11 @@ class InferenceService:
     def artifact(self) -> ModelArtifact:
         return self._artifact
 
+    @property
+    def checksum(self) -> str:
+        """The artifact's checksum, computed once in the constructor."""
+        return self._checksum
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

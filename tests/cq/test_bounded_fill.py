@@ -135,9 +135,9 @@ class TestParentsStayWithTheFill:
         seen = []
         batch = EvaluationEngine.evaluate_unary_batch
 
-        def spy(self, queries, database, executor=None, parents=None):
+        def spy(self, queries, database, parents=None):
             seen.append((list(queries), parents))
-            return batch(self, queries, database, executor, parents)
+            return batch(self, queries, database, parents)
 
         monkeypatch.setattr(EvaluationEngine, "evaluate_unary_batch", spy)
         result = cqm_separability(path_training, 2, engine=EvaluationEngine())

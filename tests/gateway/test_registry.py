@@ -124,6 +124,27 @@ def test_models_listing(registry):
     assert row["dimension"] > 0
 
 
+def test_models_listing_reuses_the_loaded_checksum(registry, monkeypatch):
+    from repro.serve.artifact import ModelArtifact
+
+    with registry.acquire("premium"):
+        pass
+    calls = []
+    checksum = ModelArtifact.checksum
+
+    def counting(self):
+        calls.append(self)
+        return checksum(self)
+
+    monkeypatch.setattr(ModelArtifact, "checksum", counting)
+    first = registry.models()[0]["versions"][0]["checksum"]
+    second = registry.models()[0]["versions"][0]["checksum"]
+    assert calls == []
+    assert first == second
+    service = registry.peek("premium", "1")
+    assert first == checksum(service.artifact)
+
+
 def test_close_refuses_further_acquires(premium_artifact_path):
     registry = ModelRegistry()
     registry.register("m", premium_artifact_path)

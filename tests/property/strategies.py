@@ -19,9 +19,11 @@ __all__ = [
     "training_databases",
     "unary_feature_queries",
     "out_tree_queries",
+    "parted_feature_queries",
     "general_queries",
     "repeated_relation_queries",
     "hom_check_instances",
+    "parted_hom_check_instances",
     "pm_one_vectors",
 ]
 
@@ -159,6 +161,50 @@ def out_tree_queries(draw, min_atoms: int = 2, max_atoms: int = 5):
 
 
 @st.composite
+def parted_feature_queries(draw, max_branches: int = 3, max_ground: int = 2):
+    """Feature queries over {E/2, eta/1} whose body falls into parts.
+
+    Branches hang below x on fresh variables, so two branches meet only at
+    x.  Ground parts are E atoms over variables that x never reaches: a
+    self-loop ``E(g, g)``, an edge, a 2-cycle or a 2-path, whose truth is
+    one fact about the database (a drawn database often has no self-loop
+    or 2-cycle).  Every query has two or more branches or a ground part.
+    """
+    x = Variable("x")
+    atoms = []
+    n_branches = draw(st.integers(min_value=1, max_value=max_branches))
+    for branch in range(n_branches):
+        y, z = Variable(f"y{branch}"), Variable(f"z{branch}")
+        atoms.append(
+            Atom("E", (x, y)) if draw(st.booleans()) else Atom("E", (y, x))
+        )
+        step = draw(st.sampled_from(("none", "out", "in", "loop")))
+        if step == "out":
+            atoms.append(Atom("E", (y, z)))
+        elif step == "in":
+            atoms.append(Atom("E", (z, y)))
+        elif step == "loop":
+            atoms.append(Atom("E", (y, y)))
+    n_ground = draw(
+        st.integers(
+            min_value=0 if n_branches > 1 else 1, max_value=max_ground
+        )
+    )
+    for part in range(n_ground):
+        a, b, c = (Variable(f"g{part}{name}") for name in "abc")
+        shape = draw(st.sampled_from(("loop", "edge", "two-cycle", "path")))
+        if shape == "loop":
+            atoms.append(Atom("E", (a, a)))
+        elif shape == "edge":
+            atoms.append(Atom("E", (a, b)))
+        elif shape == "two-cycle":
+            atoms += [Atom("E", (a, b)), Atom("E", (b, a))]
+        else:
+            atoms += [Atom("E", (a, b)), Atom("E", (b, c))]
+    return CQ.feature(atoms, x)
+
+
+@st.composite
 def general_queries(draw, max_atoms: int = 3, max_free: int = 2):
     """General CQs over {E/2, R/1} with one or two free variables.
 
@@ -252,6 +298,40 @@ def hom_check_instances(draw, max_facts: int = 6, max_fixed: int = 2):
         fixed = {
             key: draw(st.sampled_from(target_domain)) for key in keys
         }
+    return source, target, fixed
+
+
+@st.composite
+def parted_hom_check_instances(
+    draw, max_components: int = 3, max_facts: int = 4, max_fixed: int = 2
+):
+    """A (source, target, fixed) triple whose source has several components.
+
+    The source is a disjoint union of 2 to ``max_components`` small mixed
+    databases, each moved onto its own element range; ``fixed`` maps up to
+    ``max_fixed`` source elements into the target, so some components are
+    pointed and the rest ground.
+    """
+    n_components = draw(st.integers(min_value=2, max_value=max_components))
+    facts = set()
+    for component in range(n_components):
+        part = draw(mixed_databases(max_facts=max_facts))
+        offset = 10 * (component + 1)
+        facts.update(
+            Fact(fact.relation, tuple(offset + a for a in fact.arguments))
+            for fact in part.facts
+        )
+    source = Database(facts)
+    target = draw(mixed_databases())
+    keys = draw(
+        st.lists(
+            st.sampled_from(sorted(source.domain)),
+            max_size=max_fixed,
+            unique=True,
+        )
+    )
+    target_domain = sorted(target.domain)
+    fixed = {key: draw(st.sampled_from(target_domain)) for key in keys}
     return source, target, fixed
 
 

@@ -21,7 +21,6 @@ import threading
 
 import pytest
 
-from repro.core.separability import feature_pool
 from repro.exceptions import ReproError
 from repro.runtime import (
     BroadcastRef,
@@ -30,8 +29,8 @@ from repro.runtime import (
     preferred_start_method,
 )
 from repro.runtime import broadcast
-from repro.runtime.tasks import evaluate_unary_queries
-from repro.workloads.retail import retail_database
+from repro.runtime.tasks import pointed_hom_checks
+from repro.workloads.molecules import molecule_database
 
 WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "2")))
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -50,9 +49,11 @@ needs_shm = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def workload():
-    training = retail_database(n_customers=6, seed=3)
-    queries = feature_pool(training, 2)
-    return training.database, queries
+    """A database and every ordered pair of its entities (16 checks)."""
+    database = molecule_database(n_molecules=4, seed=7).database
+    entities = sorted(database.entities(), key=repr)
+    pairs = [(left, right) for left in entities for right in entities]
+    return database, pairs
 
 
 @pytest.fixture(autouse=True)
@@ -218,15 +219,15 @@ class TestExecutorBroadcast:
     def test_no_segment_carries_the_object(
         self, workload, monkeypatch, failure
     ):
-        database, queries = workload
+        database, pairs = workload
 
         def create_segment(nbytes):
             raise failure
 
         monkeypatch.setattr(broadcast, "create_segment", create_segment)
         serial = SerialExecutor().run(
-            evaluate_unary_queries, queries,
-            lambda chunk: _unbounded(chunk, database),
+            pointed_hom_checks, pairs,
+            lambda chunk: _checks(chunk, database),
         )
         with ParallelExecutor(WORKERS) as executor:
             carried = executor.broadcast(database)
@@ -237,22 +238,22 @@ class TestExecutorBroadcast:
             assert executor.fallbacks == 1  # counted once per object
             assert executor.broadcast_info()["segment_bytes"] == 0
             assert executor.run(
-                evaluate_unary_queries, queries,
-                lambda chunk: _unbounded(chunk, carried),
+                pointed_hom_checks, pairs,
+                lambda chunk: _checks(chunk, carried),
             ) == serial
             assert executor.fallbacks == 1  # the dispatch itself ran pooled
 
     @needs_shm
     def test_dispatch_counts_hits_not_per_shard_misses(self, workload):
-        database, queries = workload
+        database, pairs = workload
         serial = SerialExecutor().run(
-            evaluate_unary_queries, queries,
-            lambda chunk: _unbounded(chunk, database),
+            pointed_hom_checks, pairs,
+            lambda chunk: _checks(chunk, database),
         )
         with ParallelExecutor(WORKERS) as executor:
             target = executor.broadcast(database)
-            payload = lambda chunk: _unbounded(chunk, target)
-            first = executor.run(evaluate_unary_queries, queries, payload)
+            payload = lambda chunk: _checks(chunk, target)
+            first = executor.run(pointed_hom_checks, pairs, payload)
             assert first == serial
             work = executor.work_done()
             shards = executor.workers * 2  # SHARDS_PER_WORKER
@@ -264,7 +265,7 @@ class TestExecutorBroadcast:
             )
             # A repeat dispatch adds only hits.
             assert executor.run(
-                evaluate_unary_queries, queries, payload
+                pointed_hom_checks, pairs, payload
             ) == serial
             again = executor.work_done()
             assert again["broadcast_misses"] == work["broadcast_misses"]
@@ -273,11 +274,11 @@ class TestExecutorBroadcast:
 
 class TestPoolRepairs:
     def test_discard_pool_clears_worker_caches(self, workload):
-        database, queries = workload
+        database, pairs = workload
         with ParallelExecutor(WORKERS) as executor:
             executor.run(
-                evaluate_unary_queries, queries,
-                lambda chunk: _unbounded(chunk, database),
+                pointed_hom_checks, pairs,
+                lambda chunk: _checks(chunk, database),
             )
             assert executor._worker_caches
             executor._discard_pool()
@@ -285,14 +286,14 @@ class TestPoolRepairs:
             assert executor.effective_start_method is None
 
     def test_partial_fallback_reuses_completed_shards(self, workload):
-        database, queries = workload
+        database, pairs = workload
         plan_payloads = [
-            (tuple(queries[:2]), database, None),
-            (tuple(queries[2:4]), database, lambda: None),  # unpicklable
-            (tuple(queries[4:]), database, None),
+            (tuple(pairs[:2]), database, None),
+            (tuple(pairs[2:4]), database, lambda: None),  # unpicklable
+            (tuple(pairs[4:]), database, None),
         ]
         expected = [
-            evaluate_unary_queries(_unbounded(chunk, database))
+            pointed_hom_checks(_checks(chunk, database))
             for chunk, _db, _marker in plan_payloads
         ]
         with ParallelExecutor(WORKERS) as executor:
@@ -308,27 +309,27 @@ class TestPoolRepairs:
             assert pids - {os.getpid()}  # and at least one real worker
 
     def test_whole_batch_fallback_counts_once(self, workload):
-        database, queries = workload
+        database, pairs = workload
         with ParallelExecutor(WORKERS) as executor:
             results = executor.map_shards(
                 _marker_task,
-                [(tuple(queries), database, lambda: None)],
+                [(tuple(pairs), database, lambda: None)],
             )
             assert results == [
-                evaluate_unary_queries(_unbounded(queries, database))
+                pointed_hom_checks(_checks(pairs, database))
             ]
             assert executor.fallbacks == 1
 
 
-def _unbounded(chunk, database):
-    """An ``evaluate_unary_queries`` payload whose queries have no parent."""
-    return (tuple(chunk), (None,) * len(chunk), database)
+def _checks(chunk, database):
+    """A ``pointed_hom_checks`` payload: ``database`` into itself."""
+    return (database, database, tuple(chunk))
 
 
 def _marker_task(payload):
     """Picklable task whose payload may carry an unpicklable marker."""
     chunk, database, _marker = payload
-    return evaluate_unary_queries(_unbounded(chunk, database))
+    return pointed_hom_checks(_checks(chunk, database))
 
 
 class TestStartMethodSelection:

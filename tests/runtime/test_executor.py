@@ -11,7 +11,6 @@ import os
 
 import pytest
 
-from repro.core.separability import feature_pool
 from repro.cq.engine import EvaluationEngine, set_default_engine
 from repro.exceptions import ReproError
 from repro.runtime import (
@@ -20,49 +19,51 @@ from repro.runtime import (
     ShardPlan,
     make_executor,
 )
-from repro.runtime.tasks import evaluate_unary_queries
-from repro.workloads.retail import retail_database
+from repro.runtime.tasks import pointed_hom_checks
+from repro.workloads.molecules import molecule_database
 
 WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "2")))
 
 
 @pytest.fixture(scope="module")
 def workload():
-    training = retail_database(n_customers=6, seed=3)
-    queries = feature_pool(training, 2)
-    return training.database, queries
+    """A database and every ordered pair of its entities (16 checks)."""
+    database = molecule_database(n_molecules=4, seed=7).database
+    entities = sorted(database.entities(), key=repr)
+    pairs = [(left, right) for left in entities for right in entities]
+    return database, pairs
 
 
 def _payload_for(database):
-    return lambda chunk: _unbounded(chunk, database)
+    return lambda chunk: _checks(chunk, database)
 
 
-def _unbounded(chunk, database):
-    """An ``evaluate_unary_queries`` payload whose queries have no parent."""
-    return (tuple(chunk), (None,) * len(chunk), database)
+def _checks(chunk, database):
+    """A ``pointed_hom_checks`` payload: ``database`` into itself."""
+    return (database, database, tuple(chunk))
 
 
 class TestSerialExecutor:
     def test_map_shards_order(self, workload):
-        database, queries = workload
+        database, pairs = workload
         executor = SerialExecutor()
-        plan = ShardPlan.balanced(len(queries), 5)
+        plan = ShardPlan.balanced(len(pairs), 5)
         payloads = [
-            _unbounded(chunk, database) for chunk in plan.chunk(queries)
+            _checks(chunk, database) for chunk in plan.chunk(pairs)
         ]
-        results = executor.map_shards(evaluate_unary_queries, payloads)
+        results = executor.map_shards(pointed_hom_checks, payloads)
         merged = ShardPlan.merge(results)
         expected = ShardPlan.merge(
-            [evaluate_unary_queries(payload) for payload in payloads]
+            [pointed_hom_checks(payload) for payload in payloads]
         )
         assert merged == expected
 
     def test_records_work(self, workload):
-        database, queries = workload
+        database, pairs = workload
         set_default_engine(EvaluationEngine())  # cold cache → real work
         executor = SerialExecutor()
         executor.run(
-            evaluate_unary_queries, queries, _payload_for(database)
+            pointed_hom_checks, pairs, _payload_for(database)
         )
         work = executor.work_done()
         assert work["hom_checks"] > 0
@@ -78,22 +79,22 @@ class TestParallelExecutor:
             ParallelExecutor(1)
 
     def test_matches_serial(self, workload):
-        database, queries = workload
+        database, pairs = workload
         serial = SerialExecutor().run(
-            evaluate_unary_queries, queries, _payload_for(database)
+            pointed_hom_checks, pairs, _payload_for(database)
         )
         with ParallelExecutor(WORKERS) as executor:
             parallel = executor.run(
-                evaluate_unary_queries, queries, _payload_for(database)
+                pointed_hom_checks, pairs, _payload_for(database)
             )
             assert executor.fallback_reason is None
         assert parallel == serial
 
     def test_aggregates_worker_accounting(self, workload):
-        database, queries = workload
+        database, pairs = workload
         with ParallelExecutor(WORKERS) as executor:
             executor.run(
-                evaluate_unary_queries, queries, _payload_for(database)
+                pointed_hom_checks, pairs, _payload_for(database)
             )
             work = executor.work_done()
             info = executor.cache_info()
@@ -102,30 +103,30 @@ class TestParallelExecutor:
         assert info.currsize > 0
 
     def test_pool_reused_across_calls(self, workload):
-        database, queries = workload
+        database, pairs = workload
         with ParallelExecutor(WORKERS) as executor:
             first = executor.run(
-                evaluate_unary_queries, queries, _payload_for(database)
+                pointed_hom_checks, pairs, _payload_for(database)
             )
             # Worker caches persist between dispatches, so the second call
             # must register cache hits somewhere in the pool.
             executor.run(
-                evaluate_unary_queries, queries, _payload_for(database)
+                pointed_hom_checks, pairs, _payload_for(database)
             )
             assert executor.run(
-                evaluate_unary_queries, queries, _payload_for(database)
+                pointed_hom_checks, pairs, _payload_for(database)
             ) == first
             assert executor.work_done()["cache_hits"] > 0
 
     def test_unpicklable_payload_falls_back_to_serial(self, workload):
-        database, queries = workload
+        database, pairs = workload
         expected = SerialExecutor().run(
-            evaluate_unary_queries, queries, _payload_for(database)
+            pointed_hom_checks, pairs, _payload_for(database)
         )
         with ParallelExecutor(WORKERS) as executor:
             results = executor.run(
                 _strip_marker_task,
-                queries,
+                pairs,
                 lambda chunk: (tuple(chunk), database, lambda: None),
             )
             assert executor.fallback_reason is not None
@@ -134,49 +135,13 @@ class TestParallelExecutor:
 
     def test_empty_dispatch(self):
         with ParallelExecutor(WORKERS) as executor:
-            assert executor.map_shards(evaluate_unary_queries, []) == []
-
-
-class TestBoundedShards:
-    def test_each_shard_is_a_pure_function_of_its_payload(self, workload):
-        # A fresh engine per shard: a parent from outside the shard cannot
-        # come from an earlier shard's memo, so the worker answers it.
-        database, queries = workload
-        parents = [
-            None if parent is None else queries[parent]
-            for parent in queries.parents
-        ]
-        expected = EvaluationEngine().evaluate_unary_batch(queries, database)
-        previous = set_default_engine(EvaluationEngine())
-        try:
-            for start, stop in ShardPlan.balanced(len(queries), 5).bounds:
-                set_default_engine(EvaluationEngine())
-                payload = (
-                    tuple(queries[start:stop]),
-                    tuple(parents[start:stop]),
-                    database,
-                )
-                assert evaluate_unary_queries(payload) == tuple(
-                    expected[start:stop]
-                )
-        finally:
-            set_default_engine(previous)
-
-    def test_a_parent_after_its_child_bounds_nothing(self, workload):
-        database, queries = workload
-        chunk = tuple(queries[1:4])
-        expected = tuple(
-            EvaluationEngine().evaluate_unary_batch(chunk, database)
-        )
-        # Hand-built: the first query names the last as its parent.
-        payload = (chunk, (chunk[2], None, None), database)
-        assert evaluate_unary_queries(payload) == expected
+            assert executor.map_shards(pointed_hom_checks, []) == []
 
 
 def _strip_marker_task(payload):
     """A picklable task whose payload carries an unpicklable marker."""
-    queries, database, _marker = payload
-    return evaluate_unary_queries(_unbounded(queries, database))
+    pairs, database, _marker = payload
+    return pointed_hom_checks(_checks(pairs, database))
 
 
 class TestMakeExecutor:

@@ -1,11 +1,11 @@
 """Differential suite: parallel execution must be bit-identical to serial.
 
-Every sharded entry point is run twice — once fully in-process and once
-through a :class:`~repro.runtime.ParallelExecutor` — on fresh engines, and
-the results are compared for exact equality (not approximate agreement).
-The ``workers=4`` cases pin down the acceptance criterion of the runtime
-subsystem; worker counts above the machine's core count are legal (the
-pool just multiplexes).
+Every sharded entry point (the CQ-CLS hom-preorder and the CQ and GHW(k)
+statistic generators) is run twice — once fully in-process and once
+through a :class:`~repro.runtime.ParallelExecutor` — and the results are
+compared for exact equality (not approximate agreement).  Sessions are
+compared the same way at ``workers=2``; a CQ[m] session fills its
+indicator matrix in-process at any worker count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from repro.core.cq_generate import CqClassifier, generate_cq_statistic
 from repro.core.ghw_generate import generate_ghw_statistic
 from repro.core.languages import AllCQ, BoundedAtomsCQ, GhwClass
 from repro.core.pipeline import FeatureEngineeringSession
-from repro.core.separability import feature_pool
-from repro.core.statistic import Statistic
-from repro.cq.engine import EvaluationEngine
+from repro.cq.engine import (
+    EvaluationEngine,
+    default_engine,
+    set_default_engine,
+)
 from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.workloads.molecules import molecule_database
 from repro.workloads.retail import retail_database
@@ -35,61 +37,6 @@ def retail():
 @pytest.fixture(scope="module")
 def molecules():
     return molecule_database(n_molecules=8, seed=7)
-
-
-@pytest.fixture(scope="module")
-def pool(retail):
-    return feature_pool(retail, 2)
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-class TestEngineParity:
-    def test_indicator_matrix(self, retail, pool, workers):
-        database = retail.database
-        elements = sorted(database.entities(), key=repr)
-        serial = EvaluationEngine().indicator_matrix(
-            pool, database, elements
-        )
-        with ParallelExecutor(workers) as executor:
-            parallel = EvaluationEngine().indicator_matrix(
-                pool, database, elements, executor=executor
-            )
-            assert executor.fallback_reason is None
-        assert parallel == serial
-
-    def test_evaluate_statistic(self, retail, pool, workers):
-        database = retail.database
-        statistic = Statistic(pool)
-        serial = EvaluationEngine().evaluate_statistic(statistic, database)
-        with ParallelExecutor(workers) as executor:
-            parallel = EvaluationEngine().evaluate_statistic(
-                statistic, database, executor=executor
-            )
-        assert parallel == serial
-
-    def test_statistic_vectors(self, retail, pool, workers):
-        statistic = Statistic(pool)
-        serial = statistic.vectors(
-            retail.database, engine=EvaluationEngine()
-        )
-        with ParallelExecutor(workers) as executor:
-            parallel = statistic.vectors(
-                retail.database,
-                engine=EvaluationEngine(),
-                executor=executor,
-            )
-        assert parallel == serial
-
-    def test_training_collection(self, retail, pool, workers):
-        statistic = Statistic(pool)
-        serial = statistic.training_collection(
-            retail, engine=EvaluationEngine()
-        )
-        with ParallelExecutor(workers) as executor:
-            parallel = statistic.training_collection(
-                retail, engine=EvaluationEngine(), executor=executor
-            )
-        assert parallel == serial
 
 
 class TestGeneratorParity:
@@ -174,3 +121,22 @@ def test_approx_session_parity(retail):
         )
     assert parallel_report == serial_report
     assert parallel_labels == serial_labels
+
+
+def test_cqm_session_fills_without_starting_the_pool(retail):
+    """A CQ[m] fit at 2 workers fills in-process: the pool never starts."""
+    with FeatureEngineeringSession(retail, BoundedAtomsCQ(2)) as serial:
+        expected = serial.report()
+    # A cold default engine: a memo warmed by the serial fit would answer
+    # every query before any fill step ran.
+    previous = set_default_engine(EvaluationEngine())
+    try:
+        with FeatureEngineeringSession(
+            retail, BoundedAtomsCQ(2), workers=2
+        ) as parallel:
+            assert parallel.report() == expected
+            assert default_engine().counters.hom_checks > 0
+            assert isinstance(parallel.executor, ParallelExecutor)
+            assert parallel.executor.effective_start_method is None
+    finally:
+        set_default_engine(previous)

@@ -4,8 +4,7 @@ The pure-Python :class:`EvaluationEngine` is itself differentially locked
 to :mod:`repro.cq.naive`, so it serves as the machine-checked oracle for
 the vectorized backend: on every paper workload (retail, molecules,
 bibliography, random) the two backends must produce **bit-identical**
-``indicator_matrix`` / ``evaluate_statistic`` / ``evaluate_ghw`` results,
-serially and through a 2-worker process pool.
+``indicator_matrix`` / ``evaluate_statistic`` / ``evaluate_ghw`` results.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.cq.parser import parse_cq
 from repro.core.separability import feature_pool
 from repro.data.schema import EntitySchema, RelationSymbol
 from repro.exceptions import DecompositionError
-from repro.runtime import make_executor
 from repro.workloads.bibliography import (
     bibliography_database,
     bibliography_schema_concept,
@@ -57,29 +55,13 @@ def workload(request):
     return training.database, queries, entities, concept
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["workers1", "workers2"])
-def executors(request):
-    """One executor per backend (workers share an engine backend)."""
-    workers = request.param
-    python_pool = make_executor(workers, backend="python")
-    numpy_pool = make_executor(workers, backend="numpy")
-    yield python_pool, numpy_pool
-    python_pool.close()
-    numpy_pool.close()
-
-
 class TestBackendDifferential:
-    def test_indicator_matrix_bit_identical(self, workload, executors):
+    def test_indicator_matrix_bit_identical(self, workload):
         database, queries, entities, _ = workload
-        python_pool, numpy_pool = executors
         python_engine = EvaluationEngine(backend="python")
         numpy_engine = EvaluationEngine(backend="numpy")
-        expected = python_engine.indicator_matrix(
-            queries, database, entities, executor=python_pool
-        )
-        actual = numpy_engine.indicator_matrix(
-            queries, database, entities, executor=numpy_pool
-        )
+        expected = python_engine.indicator_matrix(queries, database, entities)
+        actual = numpy_engine.indicator_matrix(queries, database, entities)
         assert actual == expected
         # Replay from warm caches stays identical.
         assert (
@@ -87,17 +69,14 @@ class TestBackendDifferential:
             == expected
         )
 
-    def test_evaluate_statistic_bit_identical(self, workload, executors):
+    def test_evaluate_statistic_bit_identical(self, workload):
         database, queries, entities, _ = workload
-        python_pool, numpy_pool = executors
         python_engine = EvaluationEngine(backend="python")
         numpy_engine = EvaluationEngine(backend="numpy")
         expected = python_engine.evaluate_statistic(
-            queries, database, entities, executor=python_pool
+            queries, database, entities
         )
-        actual = numpy_engine.evaluate_statistic(
-            queries, database, entities, executor=numpy_pool
-        )
+        actual = numpy_engine.evaluate_statistic(queries, database, entities)
         assert actual == expected
 
     def test_evaluate_ghw_bit_identical(self, workload):
